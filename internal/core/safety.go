@@ -83,13 +83,18 @@ func (p Params) borders(cfg []State) []int {
 	return out
 }
 
-// segmentID returns ι(S) for the segment starting at agent `start` with the
-// given length: the little-endian integer over the agents' b bits.
+// segmentID returns ι(S) for the segment starting at agent `start` (in
+// [0, n)) with the given length: the little-endian integer over the agents'
+// b bits. The walk wraps past agent n−1 without a per-bit modulo: the
+// generic engine's P_PL residual calls it once per segment.
 func segmentID(cfg []State, start, length int) uint64 {
-	n := len(cfg)
 	var id uint64
+	i := start
 	for t := 0; t < length; t++ {
-		id |= uint64(cfg[(start+t)%n].B) << uint(t)
+		id |= uint64(cfg[i].B) << uint(t)
+		if i++; i == len(cfg) {
+			i = 0
+		}
 	}
 	return id
 }
@@ -201,13 +206,15 @@ func (p Params) safeTailWitness(cfg []State, k int) (bool, population.Witness) {
 
 	// Segment IDs of the full segments S_0 .. S_{ζ-2}, leader-relative. A
 	// failing pair (S_j, S_{j+1}) read the b bits of the 2ψ agents at
-	// leader-relative positions [jψ, (j+2)ψ).
+	// leader-relative positions [jψ, (j+2)ψ). Each ID carries over as the
+	// next pair's left ID.
+	a := segmentID(cfg, k, psi)
 	for j := 0; j+1 <= zeta-2; j++ {
-		a := segmentID(cfg, (k+j*psi)%n, psi)
 		b := segmentID(cfg, (k+(j+1)*psi)%n, psi)
 		if b != (a+1)&mask {
 			return false, population.IntervalWitness(n, k+j*psi, 2*psi-1, k)
 		}
+		a = b
 	}
 
 	for i := 0; i < n; i++ {

@@ -147,6 +147,30 @@ func TestIsPerfectExemptsLeaderSegments(t *testing.T) {
 	}
 }
 
+// TestSegmentIDRolling pins the modulo-free segmentID walk to the per-bit
+// (start+t) mod n definition of ι(S) on random configurations, for every
+// start and length — including segments that wrap past agent n−1.
+func TestSegmentIDRolling(t *testing.T) {
+	rng := xrand.New(4)
+	for _, n := range []int{3, 8, 33, 64} {
+		p := NewParams(n)
+		for trial := 0; trial < 5; trial++ {
+			cfg := p.RandomConfig(rng)
+			for start := 0; start < n; start++ {
+				for length := 1; length <= n; length++ {
+					var want uint64
+					for t := 0; t < length; t++ {
+						want |= uint64(cfg[(start+t)%n].B) << uint(t)
+					}
+					if got := segmentID(cfg, start, length); got != want {
+						t.Fatalf("n=%d start=%d length=%d: segmentID = %#x, want %#x", n, start, length, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDistConsistentDetectsViolation(t *testing.T) {
 	p := NewParams(16)
 	cfg := p.PerfectConfig(0, 0)

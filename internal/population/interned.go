@@ -1,5 +1,7 @@
 package population
 
+import "math"
+
 // The interned execution layer: an Engine wrapper that replays interactions
 // as table loads. States are interned into dense uint32 IDs (intern.go) —
 // through a packed-state open-addressed table when the protocol provides a
@@ -71,14 +73,12 @@ type InternOptions struct {
 const (
 	// DefaultMaxStates is the interner's hard ID ceiling: the cap is a
 	// memory backstop, not a reuse heuristic — tables grow lazily with the
-	// pairs actually seen, and runs that keep missing the tables without
-	// minting new states are cut off by the adaptive reuse guard long
-	// before the cap matters. The full ceiling is the default because the
-	// O(n)-state protocols genuinely use it: one P_PL trial at n = 1024
-	// interns ~230n states, and lockstep lanes sharing one table set push
-	// past 2^18 (a tighter historical default that silently felled lane
-	// batches back to the generic path). Callers can lower it through
-	// InternOptions or Scenario.MaxStates.
+	// pairs actually seen, and runs that keep missing the tables are cut
+	// off by the reuse guard long before the cap matters. The full ceiling
+	// is the default because warm table sets genuinely use it: lockstep
+	// lanes sharing one table set push past 2^18 (a tighter historical
+	// default that silently felled lane batches back to the generic path).
+	// Callers can lower it through InternOptions or Scenario.MaxStates.
 	DefaultMaxStates = MaxInternStates
 	// DefaultDenseStates keeps the dense tier's stride² array at or below
 	// 512² entries (2 MiB) and its growth re-layouts cheap; past it pair
@@ -91,25 +91,23 @@ const (
 	MaxInternStates = 1 << idBits
 )
 
-// Adaptive reuse guard: interning only pays when (state, state) pairs
-// repeat, i.e. when the reachable state space is small relative to the
-// run — the poly-log regime. A run that keeps missing the tables pays the
-// full transition PLUS the memoization on every step, so after
-// adaptStrikes consecutive windows of adaptWindow steps with more than
-// 1-in-adaptMissDiv misses AND no newly minted states the engine falls
-// back to the generic path, exactly as it does when the capacity cap is
-// hit. The no-new-states condition is what distinguishes hopeless
-// wandering from the productive cold fill of a large-but-bounded state
-// space (P_PL at n = 1024 interns ~230k states over its first million
-// steps — every one of those windows mints states and must not strike).
-// The guard reads only deterministic per-run counters, so whether a given
-// seed's run interns or falls back is reproducible — and either way
-// bit-identical.
+// Reuse guard: interning pays only when (state, state) pairs repeat — a
+// miss costs the transition PLUS the memoization. A run whose tables miss
+// on more than 1-in-reuseMissDiv of the steps in a window of
+// max(reuseWindow, reuseWindowPerAgent·n) steps falls back to the generic
+// path, as on the capacity cap; minting new states earns no exemption. A
+// cold P_PL trial visits ~200·n states and misses on 40–78% of its first
+// window (n = 32–1024); yokota, angluin, fj, chenchen and orient stay at
+// or below 18%. The counters are deterministic per run, so whether a seed
+// interns or falls back is reproducible — and either way bit-identical.
 const (
-	adaptWindow  = 2048
-	adaptMissDiv = 4 // bail threshold: more than window/4 misses
-	adaptStrikes = 3
+	reuseWindow         = 2048
+	reuseWindowPerAgent = 64
+	reuseMissDiv        = 4 // bail threshold: more than window/4 misses
 )
+
+// reuseWindowFor is the reuse guard's window length on an n-agent ring.
+func reuseWindowFor(n int) int { return max(reuseWindow, reuseWindowPerAgent*n) }
 
 // prefetchDepth is how many pending draws ahead the run loops touch the
 // pair-table lines of upcoming interactions (see pairTable.prefetch). On
@@ -274,11 +272,8 @@ type InternedEngine[S comparable] struct {
 	mirrorOK  bool
 	wc        witnessCache
 
-	// Adaptive reuse guard counters (see adaptWindow).
-	winSteps  int
-	winMisses int
-	winBase   int // interner size at the window start
-	strikes   int
+	// Reuse guard (see reuseWindow): the current window's steps, misses, length.
+	winSteps, winMisses, winLen int
 
 	// lazyStates marks a run loop where the ID mirror is authoritative and
 	// the per-step Engine.states writeback is skipped: each applied
@@ -334,7 +329,7 @@ func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S], g
 	if (e.isLeader == nil) != (t.isLeader == nil) {
 		panic("population: AttachInterned engine leader tracking does not match the tables")
 	}
-	return &InternedEngine[S]{Engine: e, tab: t, env: env, generic: generic}
+	return &InternedEngine[S]{Engine: e, tab: t, env: env, generic: generic, winLen: reuseWindowFor(e.topo.N)}
 }
 
 // Interned implements Accelerator.
@@ -566,21 +561,16 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 	return stepApplied
 }
 
-// reuseBail evaluates the adaptive reuse guard after each completed
-// window and reports whether the run should abandon interning. Callers
-// bail between steps, so the switch is as clean as the capacity fallback.
+// reuseBail evaluates the reuse guard after each completed window and
+// reports whether the run should abandon interning. Callers bail between
+// steps, so the switch is as clean as the capacity fallback.
 func (g *InternedEngine[S]) reuseBail() bool {
-	if g.winSteps < adaptWindow {
+	if g.winSteps < g.winLen {
 		return false
 	}
-	if g.winMisses > g.winSteps/adaptMissDiv && g.tab.in.Len() == g.winBase {
-		g.strikes++
-	} else {
-		g.strikes = 0
-	}
-	g.winSteps, g.winMisses = 0, 0
-	g.winBase = g.tab.in.Len()
-	return g.strikes >= adaptStrikes
+	bail := g.winMisses > g.winSteps/reuseMissDiv
+	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
+	return bail
 }
 
 // lazyOn enables lazy state materialization for the run loop about to
@@ -893,6 +883,15 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 	}
 	g.settle()
 	return e.step, false
+}
+
+// Prefill is RunUntilConverged for a warmup that fills tables another
+// attached engine will replay: those fills are reused by construction, so
+// the reuse guard holds its window open for the run.
+func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
+	g.winLen = math.MaxInt
+	g.RunUntilConverged(maxSteps)
+	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
 }
 
 // SampleCounts implements Accelerator: named channel counts over the

@@ -102,45 +102,46 @@ func toySpec() RingSpec[uint16] {
 	}
 }
 
-// toyTrans wanders through a large state space so a small interner cap is
-// exceeded mid-run (and, with a roomy cap, the adaptive reuse guard bails
-// on the never-repeating pairs).
+// toyTrans wanders through a large state space, minting fresh states on
+// almost every step, so a small interner cap is exceeded mid-run — and,
+// with a roomy cap, the reuse guard bails on the never-repeating pairs at
+// the end of its first window: minting new states is no excuse for a
+// table that is never reused.
 func toyTrans(l, r uint16) (uint16, uint16) {
 	return l + 1, r + l*3 + 7
 }
 
-// toyReuseTrans cycles within 23 states, the regime interning is for: the
-// pair tables warm up within the reuse guard's first window and the run
-// stays interned.
+// toyReuseTrans cycles within 19 states, the regime interning is for: its
+// 361 ordered pairs fit well inside the misses the reuse guard tolerates
+// per window (reuseWindow/reuseMissDiv = 512), so the pair tables warm up
+// within the first window and the run stays interned.
 func toyReuseTrans(l, r uint16) (uint16, uint16) {
-	return (l + 1) % 23, (r + l*3 + 7) % 23
+	return (l + 1) % 19, (r + l*3 + 7) % 19
 }
 
 // toyBailTrans cycles within 251 states but mixes through its ~63k ordered
-// pairs nearly uniformly, so once every state has been minted the pair
-// tables keep missing with no new states to show for it — the regime the
-// adaptive reuse guard bails on (unlike toyTrans's endless minting, which
-// the guard must treat as productive cold fill and leave alone until the
-// capacity cap has its say).
+// pairs nearly uniformly, so even once every state has been minted the
+// pair tables keep missing — the reuse guard bails here too.
 func toyBailTrans(l, r uint16) (uint16, uint16) {
 	return (l*5 + r*3 + 1) % 251, (r*7 + l + 2) % 251
 }
 
 func toyLeader(s uint16) bool { return s%5 == 0 }
 
-func newToyPairTrans(n int, seed uint64, cap int, trans Transition[uint16]) (*Engine[uint16], *InternedEngine[uint16]) {
-	mk := func() *Engine[uint16] {
-		e := NewEngine(DirectedRing(n), trans, xrand.New(seed))
-		cfg := make([]uint16, n)
-		for i := range cfg {
-			cfg[i] = uint16(i * 11)
-		}
-		e.SetStates(cfg)
-		e.TrackLeaders(toyLeader)
-		return e
+func newToyEngine(n int, seed uint64, trans Transition[uint16]) *Engine[uint16] {
+	e := NewEngine(DirectedRing(n), trans, xrand.New(seed))
+	cfg := make([]uint16, n)
+	for i := range cfg {
+		cfg[i] = uint16(i * 11)
 	}
-	gen := mk()
-	ie := mk()
+	e.SetStates(cfg)
+	e.TrackLeaders(toyLeader)
+	return e
+}
+
+func newToyPairTrans(n int, seed uint64, cap int, trans Transition[uint16]) (*Engine[uint16], *InternedEngine[uint16]) {
+	gen := newToyEngine(n, seed, trans)
+	ie := newToyEngine(n, seed, trans)
 	acc := NewInterned(ie, toySpec(), nil, NewRingTracker(toySpec()), InternOptions{MaxStates: cap})
 	return gen, acc
 }
@@ -169,11 +170,11 @@ func assertEnginesEqual(t *testing.T, gen *Engine[uint16], ie *Engine[uint16], c
 
 // TestInternedRunMatchesGenericRun pins the interned Run loop to the
 // generic engine on the same seed, across every fallback flavor — tiny cap
-// (capacity fallback mid-run, including mid-batch), roomy cap with a
-// state space still being minted (cold fill: the guard must not bail),
-// roomy cap with a bounded state space whose pairs never warm up
-// (adaptive reuse bail-out), and a reusing state space (stays interned):
-// no flavor may lose, repeat or reorder a single drawn arc.
+// (capacity fallback mid-run, including mid-batch), roomy cap with a state
+// space still being minted (endless minting without reuse: the guard
+// bails), roomy cap with a bounded state space whose pairs never warm up
+// (reuse bail-out), and a reusing state space (stays interned): no flavor
+// may lose, repeat or reorder a single drawn arc.
 func TestInternedRunMatchesGenericRun(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -183,7 +184,7 @@ func TestInternedRunMatchesGenericRun(t *testing.T) {
 	}{
 		{"capacity-fallback", 8, toyTrans, false},
 		{"mid-cap", 64, toyTrans, false},
-		{"cold-fill", 1 << 20, toyTrans, true},
+		{"mint-bail", 1 << 20, toyTrans, false},
 		{"reuse-bail", 1 << 20, toyBailTrans, false},
 		{"stays-interned", 1 << 20, toyReuseTrans, true},
 	}
@@ -202,6 +203,60 @@ func TestInternedRunMatchesGenericRun(t *testing.T) {
 		}
 		assertEnginesEqual(t, gen, acc.Engine, tc.name+": after chunked Run")
 	}
+}
+
+// TestReuseGuardWindow pins when the reuse guard judges: once per window
+// of max(reuseWindow, reuseWindowPerAgent·n) steps, so a minting run stays
+// interned through its whole first window and falls back on the step that
+// closes it — on small rings and on rings large enough to stretch the
+// window.
+func TestReuseGuardWindow(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		window := uint64(reuseWindowFor(n))
+		gen, acc := newToyPairTrans(n, 3, 1<<20, toyTrans)
+		gen.Run(window - 1)
+		acc.Run(window - 1)
+		if !acc.Interned() {
+			t.Fatalf("n=%d: bailed before the first %d-step window closed", n, window)
+		}
+		gen.Run(1)
+		acc.Run(1)
+		if acc.Interned() {
+			t.Fatalf("n=%d: still interned after a window of misses", n)
+		}
+		gen.Run(1000)
+		acc.Run(1000)
+		assertEnginesEqual(t, gen, acc.Engine, "after the guard fired")
+	}
+}
+
+// TestPrefillSuspendsGuard pins the warm-replay contract: a Prefill run
+// keeps filling shared tables through windows the reuse guard would bail
+// on, and an engine replaying the same trajectory over them never misses,
+// so it stays interned — bit-identical to the generic engine — where a
+// cold run falls back.
+func TestPrefillSuspendsGuard(t *testing.T) {
+	const n, seed, steps = 16, 5, 10_000
+	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
+	attach := func() *InternedEngine[uint16] {
+		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil, NewRingTracker(toySpec()))
+	}
+	warm, replay := attach(), attach()
+	warm.Prefill(steps)
+	if !warm.Interned() {
+		t.Fatal("Prefill let the reuse guard bail")
+	}
+	gen := newToyEngine(n, seed, toyTrans)
+	gen.SetTracker(NewRingTracker(toySpec()))
+	genStep, genOK := gen.RunUntilConverged(steps)
+	step, ok := replay.RunUntilConverged(steps)
+	if !replay.Interned() {
+		t.Fatal("replay over prefilled tables fell back")
+	}
+	if step != genStep || ok != genOK {
+		t.Fatalf("replay (%d, %v) vs generic (%d, %v)", step, ok, genStep, genOK)
+	}
+	assertEnginesEqual(t, gen, replay.Engine, "after prefilled replay")
 }
 
 // TestInternedSetStatesReinterns pins install handling: a SetStates (and a

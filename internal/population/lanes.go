@@ -3,9 +3,9 @@ package population
 // Lockstep lanes: k same-cell trials executed as a structure-of-arrays
 // bundle against ONE shared Tables. Sweep cells run many trials of the
 // same (protocol, n, scenario) with different seeds, and each trial alone
-// pays the cold fill of its transition tables — at P_PL n = 1024 that is
-// over a million pair fills per trial. Lanes amortize the fill: the first
-// lane to see a pair memoizes it, every other lane loads it. Sharing is
+// pays the cold fill of its transition tables. Lanes amortize the fill:
+// the first lane to see a pair memoizes it, every other lane loads it
+// (each lane's reuse guard still judges its own misses). Sharing is
 // sound because memo entries are pure functions of the state pair (and
 // env key) — the contract EnvSpec.Delta's purity requirement exists for —
 // so the only thing sharing changes is which lane happens to fill a

@@ -117,6 +117,60 @@ func TestInternedMatchesGenericUnderFaults(t *testing.T) {
 	}
 }
 
+// TestReuseGuardOutcomes pins the interned layer's reuse guard on the
+// paper's scaling cells: cold P_PL trials mint states faster than their
+// pair tables are reused and must fall back to the generic engine, while
+// the protocols whose tables do get reused stay interned to convergence.
+// Either way each TrialResult must equal its generic twin.
+func TestReuseGuardOutcomes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large-n trials skipped in -short")
+	}
+	cells := []struct {
+		name         string
+		n            int
+		wantInterned bool
+	}{
+		{"ppl", 64, false}, {"ppl", 128, false}, {"ppl", 256, false},
+		{"yokota", 256, true}, {"yokota", 1024, true},
+		{"angluin", 33, true}, {"angluin", 65, true},
+		{"fj", 32, true}, {"fj", 64, true},
+		{"chenchen", 32, true}, {"chenchen", 48, true},
+		{"orient", 256, true},
+	}
+	for _, c := range cells {
+		p, err := NewProtocol(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, seed := p.FixSize(c.n), TrialSeed(c.n, 0)
+		ru, err := p.(benchable).newBench(Scenario{}, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, conv, interned := ru.benchInterned(Scenario{}.MaxSteps(p, n))
+		if interned != c.wantInterned {
+			t.Errorf("%s n=%d: Interned() = %v at the end of the trial, want %v", c.name, n, interned, c.wantInterned)
+		}
+		res, err := p.Trial(Scenario{}, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != steps || res.Converged != conv {
+			t.Fatalf("%s n=%d: Trial (%d, %v) disagrees with the engine run (%d, %v)", c.name, n, res.Steps, res.Converged, steps, conv)
+		}
+		internedOff.Store(true)
+		gen, err := p.Trial(Scenario{}, n, seed)
+		internedOff.Store(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gen != res {
+			t.Fatalf("%s n=%d: TrialResult diverged\ngeneric:  %+v\ninterned: %+v", c.name, n, gen, res)
+		}
+	}
+}
+
 // TestInternedMatchesGenericFuzz widens the seed fan on one mid-size ring
 // per protocol, with and without a fault burst.
 func TestInternedMatchesGenericFuzz(t *testing.T) {

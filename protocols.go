@@ -339,6 +339,12 @@ func (te trialEngine[S]) benchInterned(maxSteps uint64) (uint64, bool, bool) {
 	return steps, ok, te.accel.Interned()
 }
 
+// benchPrefill fills the interned tables along the run's trajectory to
+// convergence for a warm replay (population.InternedEngine.Prefill).
+func (te trialEngine[S]) benchPrefill(maxSteps uint64) {
+	te.accel.(interface{ Prefill(uint64) }).Prefill(maxSteps)
+}
+
 // benchScan runs to convergence through the scan-era periodic predicate.
 func (te trialEngine[S]) benchScan(maxSteps uint64) (uint64, bool) {
 	return te.eng.RunUntil(te.pred, te.check, maxSteps)
