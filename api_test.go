@@ -242,32 +242,3 @@ func TestExperimentMaxSizeForAlignment(t *testing.T) {
 		t.Fatalf("yokota cells misaligned: %+v", yok.Cells)
 	}
 }
-
-// TestComparisonMatchesExperiment pins the compat shim to the new API: the
-// shim's markdown and exponents are exactly what the equivalent Experiment
-// produces.
-func TestComparisonMatchesExperiment(t *testing.T) {
-	sizes := []int{8, 16}
-	res := repro.Comparison(sizes, 2, 8)
-	rep, err := repro.NewExperiment().
-		ProtocolNames("angluin", "fj", "chenchen", "yokota", "ppl").
-		Sizes(sizes...).
-		Trials(2).
-		MaxSizeFor("[11] Chen–Chen", 8).
-		Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Markdown != rep.Markdown() {
-		t.Fatalf("shim markdown diverged:\n%s\nvs\n%s", res.Markdown, rep.Markdown())
-	}
-	exps := rep.Exponents()
-	if len(res.Exponents) != len(exps) {
-		t.Fatalf("exponents %v vs %v", res.Exponents, exps)
-	}
-	for name, want := range exps {
-		if res.Exponents[name] != want {
-			t.Fatalf("exponent[%s] = %v, want %v", name, res.Exponents[name], want)
-		}
-	}
-}

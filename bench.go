@@ -17,10 +17,6 @@ const (
 	// tracker (the production path): exact hitting times, O(1) per-step
 	// convergence checks.
 	BenchTracked BenchMode = "tracked"
-	// BenchScan measures a run to convergence through the scan-era
-	// periodic full-configuration predicate (checkEvery ≈ n/2): the
-	// pre-tracker baseline, kept as the comparison point.
-	BenchScan BenchMode = "scan"
 	// BenchInterned measures a run to convergence through the interned
 	// table-lookup execution layer (the trial default since the interned
 	// engine landed): transitions, leader accounting and tracker updates
@@ -99,43 +95,37 @@ func (r BenchResult) Record() TrialRecord {
 type benchRunner interface {
 	benchRaw(steps uint64)
 	benchTracked(maxSteps uint64) (uint64, bool)
-	benchScan(maxSteps uint64) (uint64, bool)
 	benchInterned(maxSteps uint64) (steps uint64, converged, interned bool)
 	benchPrefill(maxSteps uint64)
 	stepCount() uint64
 }
 
-// benchable is implemented by the built-in protocols: it builds a fresh,
-// fully wired trial engine without running it, so RunBenchmark can time
-// the run phase alone. The per-protocol newBench methods live next to
-// their Trial wiring in protocols.go.
-type benchable interface {
+// engineProtocol is the engine-level surface every built-in protocol
+// (ringProtocol) adds to the public Protocol contract: lockstep lanes, a
+// fresh unrun trial engine so RunBenchmark can time the run phase alone,
+// and a pair of trial engines for one cell over ONE shared table set. The
+// interned mode uses the pair — the first runner is an untimed warmup
+// that fills the state interner and pair tables, the second re-runs the
+// identical trajectory through the warm tables — so the timed region
+// measures the steady-state table-lookup throughput the mode is named for
+// rather than the one-time fill.
+type engineProtocol interface {
+	LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error)
 	newBench(sc Scenario, n int, seed uint64) (benchRunner, error)
-}
-
-// internedBenchable is implemented by the built-in protocols: it builds
-// two fully wired trial engines for the same (scenario, n, seed) cell over
-// ONE shared transition-table set. RunBenchmark uses the pair for the
-// interned mode — the first runner is an untimed warmup that fills the
-// state interner and pair tables, the second re-runs the identical
-// trajectory through the warm tables — so the timed region measures the
-// steady-state table-lookup throughput the mode is named for rather than
-// the one-time fill.
-type internedBenchable interface {
 	newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error)
 }
 
 // RunBenchmark executes one perf-baseline measurement: protocol name (a
 // registered built-in), requested ring size (FixSize-adjusted
 // internally), scheduler seed, scenario, and mode — BenchRaw, BenchTracked,
-// BenchScan or BenchInterned. rawSteps is the step
+// BenchInterned or BenchLanes. rawSteps is the step
 // budget of BenchRaw and ignored by the convergence modes, which run to
 // the scenario's budget. Fault-schedule scenarios are rejected: the modes
 // time a single uninterrupted run phase, so a burst schedule would be
 // silently skipped and the artifact would mislabel a fault-free
-// measurement. Custom registered protocols are not supported — the raw
-// and scan modes need engine-level access that the public Protocol
-// contract deliberately does not expose.
+// measurement. Custom registered protocols are not supported — the modes
+// need engine-level access that the public Protocol contract deliberately
+// does not expose.
 func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, rawSteps uint64) (BenchResult, error) {
 	if mode == BenchLanes {
 		return RunBenchmarkLanes(name, n, seed, sc, defaultBenchLanes)
@@ -154,20 +144,20 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 	if err != nil {
 		return BenchResult{}, err
 	}
-	b, ok := p.(benchable)
+	b, ok := p.(engineProtocol)
 	if !ok {
 		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support engine benchmarks", name)
 	}
 	n = p.FixSize(n)
 	maxSteps := sc.MaxSteps(p, n)
 	var ru benchRunner
-	if pb, isPair := p.(internedBenchable); isPair && mode == BenchInterned {
+	if mode == BenchInterned {
 		// Steady-state measurement: an untimed warmup run over the shared
 		// table set fills the interner and pair tables, then the timed
 		// runner below replays the identical trajectory entirely warm. The
 		// warmup runs with the reuse guard suspended: its fills are exactly
 		// the ones the timed run reuses.
-		warm, timed, err := pb.newBenchPair(sc, n, seed)
+		warm, timed, err := b.newBenchPair(sc, n, seed)
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -189,9 +179,6 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		res.Steps, res.Converged = rawSteps, true
 	case BenchTracked:
 		_, res.Converged = ru.benchTracked(maxSteps)
-		res.Steps = ru.stepCount()
-	case BenchScan:
-		_, res.Converged = ru.benchScan(maxSteps)
 		res.Steps = ru.stepCount()
 	case BenchInterned:
 		var interned bool
@@ -228,7 +215,7 @@ func RunBenchmarkLanes(name string, n int, seed uint64, sc Scenario, k int) (Ben
 	if err != nil {
 		return BenchResult{}, err
 	}
-	l, ok := p.(laneable)
+	l, ok := p.(engineProtocol)
 	if !ok {
 		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support lane benchmarks", name)
 	}

@@ -96,10 +96,10 @@ func BenchmarkTable1(b *testing.B) {
 		sizes []int
 	}
 	rows := []row{
-		{angluinProtocol{}, []int{9, 17, 33}},
-		{fjProtocol{}, []int{8, 16, 32}},
-		{chenchenProtocol{}, []int{4, 8}},
-		{yokotaProtocol{}, []int{16, 32, 64, 128}},
+		{angluinProtocol(), []int{9, 17, 33}},
+		{fjProtocol(), []int{8, 16, 32}},
+		{chenchenProtocol(), []int{4, 8}},
+		{yokotaProtocol(), []int{16, 32, 64, 128}},
 		{PPL(0, 0), []int{16, 32, 64, 128}},
 	}
 	for _, r := range rows {

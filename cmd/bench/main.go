@@ -2,11 +2,10 @@
 // BENCH_ringsim.json: steps per second for every requested protocol ×
 // ring size × scenario cell, in four engine modes — the raw RunBatch
 // transition loop (no convergence judgement), the incremental-tracker run
-// to convergence, the scan-era periodic-predicate run, the interned
-// table-lookup run (the trial default), and the "lanes" mode — a batch of
-// -lanes same-cell trials run as lockstep lanes over one shared
-// transition-table set, whose steps/sec aggregates the batch — plus a
-// "recovery" mode that
+// to convergence, the interned table-lookup run (the trial default), and
+// the "lanes" mode — a batch of -lanes same-cell trials run as lockstep
+// lanes over one shared transition-table set, whose steps/sec aggregates
+// the batch — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills
@@ -19,7 +18,7 @@
 // Usage:
 //
 //	bench [-protocols ppl,yokota,...] [-sizes 16,32,64] [-scenarios random]
-//	      [-modes runbatch,tracked,scan,interned,lanes,recovery,eclipse]
+//	      [-modes runbatch,tracked,interned,lanes,recovery,eclipse]
 //	      [-trials 3] [-bestof 3] [-seed 1] [-rawsteps 2000000] [-ccmax 8]
 //	      [-lanes 8] [-maxstates 0] [-quick]
 //	      [-o BENCH_ringsim.json] [-records FILE]
@@ -107,7 +106,7 @@ func main() {
 		protocols  = flag.String("protocols", "ppl,yokota,angluin,fj,orient,chenchen", "comma-separated registered protocol names")
 		sizes      = flag.String("sizes", "16,32,64", "comma-separated ring sizes")
 		scenarios  = flag.String("scenarios", "random", "comma-separated init classes (non-ppl protocols skip all but random)")
-		modes      = flag.String("modes", "runbatch,tracked,scan,interned,lanes,recovery,eclipse", "comma-separated modes: runbatch, tracked, scan, interned, lanes, recovery, eclipse")
+		modes      = flag.String("modes", "runbatch,tracked,interned,lanes,recovery,eclipse", "comma-separated modes: runbatch, tracked, interned, lanes, recovery, eclipse")
 		trials     = flag.Int("trials", 3, "measurements per cell (seeds seed..seed+trials-1)")
 		bestOf     = flag.Int("bestof", 3, "timings per measurement; the fastest is kept")
 		seed       = flag.Uint64("seed", 1, "first scheduler seed")

@@ -13,7 +13,7 @@ func testConfig(out string) config {
 		protocols: "ppl,yokota",
 		sizes:     "8",
 		scenarios: "random",
-		modes:     "runbatch,tracked,scan,interned",
+		modes:     "runbatch,tracked,interned",
 		trials:    1,
 		bestOf:    1,
 		seed:      1,
@@ -52,9 +52,9 @@ func TestBenchEmitsStableSchema(t *testing.T) {
 	if f.BestOf != 2 {
 		t.Fatalf("bestof %d not recorded in envelope", f.BestOf)
 	}
-	// 2 protocols × 1 size × 4 modes × 1 trial.
-	if len(f.Results) != 8 {
-		t.Fatalf("got %d results, want 8:\n%s", len(f.Results), data)
+	// 2 protocols × 1 size × 3 modes × 1 trial.
+	if len(f.Results) != 6 {
+		t.Fatalf("got %d results, want 6:\n%s", len(f.Results), data)
 	}
 	interned := 0
 	for _, r := range f.Results {
@@ -62,7 +62,7 @@ func TestBenchEmitsStableSchema(t *testing.T) {
 			t.Fatalf("degenerate result %+v", r)
 		}
 		switch r.Mode {
-		case "runbatch", "tracked", "scan":
+		case "runbatch", "tracked":
 		case "interned":
 			interned++
 			if r.Fallback {

@@ -217,8 +217,7 @@ func trialMeans(trials int, fn func(trial int) (float64, bool)) float64 {
 }
 
 // e1Table1 regenerates Table 1 (E1 time column, E2 states column) through
-// the Experiment builder — the same protocols, sizes and seeds as
-// repro.Comparison — and keeps the structured report for -json/-csv.
+// the Experiment builder and keeps the structured report for -json/-csv.
 func e1Table1(p profile) {
 	header("E1/E2", "Table 1: convergence time and state count per protocol")
 	exp := repro.NewExperiment().

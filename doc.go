@@ -216,11 +216,10 @@
 // # Performance baseline (BENCH_ringsim.json)
 //
 // RunBenchmark (and the cmd/bench command wrapping it) measures steps per
-// second of every built-in protocol × ring size × scenario in five
+// second of every built-in protocol × ring size × scenario in four
 // modes: "runbatch" (the raw batched transition loop, no convergence
 // judgement — the ceiling), "tracked" (run-to-convergence through the
-// incremental tracker with exact hitting times), "scan" (the pre-tracker
-// periodic polling loop, kept as the comparison baseline), "interned"
+// incremental tracker with exact hitting times), "interned"
 // (the trial default: the table-lookup layer timed steady-state against
 // tables pre-filled by an untimed warmup run with the reuse guard
 // suspended — warm tables no user path runs — with its Fallback flag
@@ -258,16 +257,15 @@
 //
 // For driving a single simulation interactively, RingElection runs P_PL
 // on a directed ring and RingOrientation runs the Section 5 orientation
-// protocol on an undirected ring. Comparison regenerates the paper's
-// Table 1 and is kept as a thin compatibility shim over Experiment.
+// protocol on an undirected ring. The paper's Table 1 is one Experiment
+// (see examples/comparison).
 //
 // The building blocks live under internal/: the population-protocol
 // engine (internal/population), the protocol itself (internal/core), the
 // baselines (internal/yokota, internal/angluin, internal/fj,
 // internal/chenchen), the substrates (internal/thuemorse, internal/twohop,
-// internal/lottery), the experiment harness (internal/harness,
-// internal/stats) and the parallel trial-execution engine
-// (internal/runner).
+// internal/lottery), statistics (internal/stats) and the parallel
+// trial-execution engine (internal/runner).
 //
 // See README.md for the narrative overview, docs/ARCHITECTURE.md for the
 // full layer map, docs/API.md for the service's HTTP reference, and the

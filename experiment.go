@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/harness"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -432,7 +431,7 @@ func (rs *reportSink) beginRow(p Protocol, info ProtocolInfo) {
 }
 
 func (rs *reportSink) endRow() {
-	rs.row.Exponent, rs.row.ExponentOK = harness.Exponent(harnessCells(rs.row.Cells))
+	rs.row.Exponent, rs.row.ExponentOK = fitExponent(rs.row.Cells)
 	rs.rep.Rows = append(rs.rep.Rows, rs.row)
 }
 
@@ -497,19 +496,4 @@ func summaryFrom(s stats.Summary) Summary {
 		Count: s.Count, Mean: s.Mean, Std: s.Std,
 		Min: s.Min, Median: s.Median, P90: s.P90, Max: s.Max,
 	}
-}
-
-// harnessCells converts a row's cells to the internal form the markdown
-// renderers consume.
-func harnessCells(cells []ReportCell) []harness.Cell {
-	out := make([]harness.Cell, len(cells))
-	for i, c := range cells {
-		out[i] = harness.Cell{
-			N:          c.N,
-			Steps:      stats.Summary{Count: c.Steps.Count, Mean: c.Steps.Mean, Std: c.Steps.Std, Min: c.Steps.Min, Median: c.Steps.Median, P90: c.Steps.P90, Max: c.Steps.Max},
-			Stabilized: stats.Summary{Count: c.Stabilized.Count, Mean: c.Stabilized.Mean, Std: c.Stabilized.Std, Min: c.Stabilized.Min, Median: c.Stabilized.Median, P90: c.Stabilized.P90, Max: c.Stabilized.Max},
-			Failures:   c.Failures,
-		}
-	}
-	return out
 }

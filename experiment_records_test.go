@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 )
 
@@ -80,5 +81,68 @@ func TestReportFromRecordsRejectsPartialArtifacts(t *testing.T) {
 	}
 	if _, err := replayExperiment().ReportFromRecords(nil); err == nil {
 		t.Fatal("ReportFromRecords accepted an empty record set")
+	}
+}
+
+// TestAggregateCountsFailures pins the cell reduction of reportSink: a
+// trial that did not converge counts as a failure and stays out of the
+// step summaries.
+func TestAggregateCountsFailures(t *testing.T) {
+	rs := newReportSink(NewExperiment().Sizes(8).Trials(3))
+	rs.beginCell(8)
+	for i, rec := range []TrialRecord{
+		{N: 8, Steps: 100, Stabilized: 50, Converged: true},
+		{N: 8},
+		{N: 8, Steps: 300, Stabilized: 150, Converged: true},
+	} {
+		rec.Trial = i
+		if err := rs.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs.endCell()
+	cell := rs.row.Cells[0]
+	if cell.Failures != 1 {
+		t.Fatalf("failures = %d, want 1", cell.Failures)
+	}
+	if cell.Steps.Count != 2 || cell.Steps.Mean != 200 || cell.Stabilized.Mean != 100 {
+		t.Fatalf("summaries %+v / %+v", cell.Steps, cell.Stabilized)
+	}
+}
+
+func summaryOf(v float64) Summary { return Summary{Count: 1, Mean: v} }
+
+func TestExponentOnSyntheticCells(t *testing.T) {
+	var cells []ReportCell
+	for _, n := range []int{16, 32, 64, 128} {
+		cells = append(cells, ReportCell{N: n, Steps: summaryOf(float64(n) * float64(n))})
+	}
+	got, ok := fitExponent(cells)
+	if !ok {
+		t.Fatal("fit reported no data")
+	}
+	if math.Abs(got-2) > 1e-9 {
+		t.Fatalf("exponent = %v, want 2", got)
+	}
+}
+
+// TestExponentNoData pins the "no data" contract: fewer than two usable
+// cells yield ok=false, not an ambiguous zero.
+func TestExponentNoData(t *testing.T) {
+	if _, ok := fitExponent(nil); ok {
+		t.Fatal("empty cells must report no fit")
+	}
+	// A skipped or failure-only cell carries no data.
+	if _, ok := fitExponent([]ReportCell{{N: 8, Steps: summaryOf(100)}, {N: 16}}); ok {
+		t.Fatal("a single usable cell must report no fit")
+	}
+	// A genuine flat fit is a real zero, distinguished from "no data".
+	flat := []ReportCell{
+		{N: 8, Steps: summaryOf(100)},
+		{N: 16, Steps: summaryOf(100)},
+	}
+	got, ok := fitExponent(flat)
+	if !ok || math.Abs(got) > 1e-9 {
+		t.Fatalf("flat fit = (%v, %v), want (0, true)", got, ok)
 	}
 }

@@ -2,9 +2,9 @@
 // number of independent, index-addressed work items out across a bounded
 // worker pool and collects their results in index order.
 //
-// Every trial-driving layer of the repository — harness.Sweep, the cmd/sweep
-// experiment sections, cmd/ringsim repetitions, cmd/table1 and the
-// benchmarks — routes its per-trial loops through this package. Trials are
+// Every trial-driving layer of the repository — repro.Experiment, the
+// cmd/sweep experiment sections, cmd/ringsim repetitions, cmd/table1 and
+// the benchmarks — routes its per-trial loops through this package. Trials are
 // pure functions of their index (seeds are derived deterministically from
 // the index by the caller, or via DeriveSeed), so the result slice is
 // bit-for-bit identical whatever the worker count: parallelism changes only

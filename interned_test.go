@@ -144,7 +144,7 @@ func TestReuseGuardOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, seed := p.FixSize(c.n), TrialSeed(c.n, 0)
-		ru, err := p.(benchable).newBench(Scenario{}, n, seed)
+		ru, err := p.(engineProtocol).newBench(Scenario{}, n, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func assertLanesMatchSolo(t *testing.T, name string, sc Scenario, n int, seeds [
 		return // scenario rejected (e.g. churn on a fixed-size protocol)
 	}
 	n = p.FixSize(n)
-	l, ok := p.(laneable)
+	l, ok := p.(engineProtocol)
 	if !ok {
 		t.Fatalf("%s does not implement LaneTrials", name)
 	}
@@ -125,7 +125,7 @@ func TestLaneTrialsSmallBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := p.(laneable)
+	l := p.(engineProtocol)
 	if res, err := l.LaneTrials(Scenario{}, p.FixSize(16), nil); err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: got (%v, %v)", res, err)
 	}

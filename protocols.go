@@ -19,11 +19,11 @@ import (
 // Table 1 baselines, each behind the one Protocol contract.
 func init() {
 	mustRegister("ppl", func() Protocol { return PPL(0, 0) })
-	mustRegister("orient", func() Protocol { return orientProtocol{} })
-	mustRegister("yokota", func() Protocol { return yokotaProtocol{} })
-	mustRegister("angluin", func() Protocol { return angluinProtocol{} })
-	mustRegister("fj", func() Protocol { return fjProtocol{} })
-	mustRegister("chenchen", func() Protocol { return chenchenProtocol{} })
+	mustRegister("orient", orientProtocol)
+	mustRegister("yokota", yokotaProtocol)
+	mustRegister("angluin", angluinProtocol)
+	mustRegister("fj", fjProtocol)
+	mustRegister("chenchen", chenchenProtocol)
 }
 
 // initSeedSalt decorrelates the initial-configuration RNG from the
@@ -58,8 +58,8 @@ var internedOff atomic.Bool
 // runner needs: the engine, an installer that routes configuration changes
 // through the protocol's oracle runner (nil for plain engines), a state
 // sampler for fault injection, the incremental convergence tracker of the
-// hot path, and the equivalent scan predicate with its legacy check
-// cadence (the cross-check oracle, also used by Bench's "scan" mode).
+// hot path, and the equivalent scan predicate (the cross-check oracle the
+// convergenceScanEvery hook selects).
 type trialEngine[S any] struct {
 	eng     *population.Engine[S]
 	install func([]S)
@@ -67,7 +67,6 @@ type trialEngine[S any] struct {
 	tracker population.ConvergenceTracker[S]
 	accel   population.Accelerator
 	pred    func([]S) bool
-	check   int
 }
 
 // applySched installs the scenario's arc scheduler and stuck-agent mask
@@ -277,12 +276,8 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 	var ok bool
 	var sample func(map[string]float64)
 	switch every := convergenceScanEvery.Load(); {
-	case every > 0 || (te.tracker == nil && acc == nil):
-		check := te.check
-		if every > 0 {
-			check = int(every)
-		}
-		steps, ok = te.eng.RunUntil(te.pred, check, maxSteps)
+	case every > 0:
+		steps, ok = te.eng.RunUntil(te.pred, int(every), maxSteps)
 	case acc != nil:
 		// The production default: the interned table-lookup layer, which
 		// judges convergence after every step through the mirrored tracker
@@ -345,115 +340,14 @@ func (te trialEngine[S]) benchPrefill(maxSteps uint64) {
 	te.accel.(interface{ Prefill(uint64) }).Prefill(maxSteps)
 }
 
-// benchScan runs to convergence through the scan-era periodic predicate.
-func (te trialEngine[S]) benchScan(maxSteps uint64) (uint64, bool) {
-	return te.eng.RunUntil(te.pred, te.check, maxSteps)
-}
-
 // stepCount returns the scheduler steps executed so far.
 func (te trialEngine[S]) stepCount() uint64 { return te.eng.Steps() }
-
-// probedTrial is the one copy of the Trial/ProbedTrial entry path shared
-// by every built-in protocol: validate the scenario, build the trial
-// engine, run it under the scenario's budget with the probe attached.
-func probedTrial[S any](p Protocol, newTrial func(Scenario, int, uint64) trialEngine[S], sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	if err := p.Validate(sc); err != nil {
-		return TrialResult{}, err
-	}
-	te := newTrial(sc, n, seed)
-	return te.run(sc, n, seed, sc.MaxSteps(p, n), p.Info().Name, probe), nil
-}
-
-// newBenchFor is the shared newBench body: a fully wired, unrun trial
-// engine for RunBenchmark to time.
-func newBenchFor[S any](p Protocol, newTrial func(Scenario, int, uint64) trialEngine[S], sc Scenario, n int, seed uint64) (benchRunner, error) {
-	if err := p.Validate(sc); err != nil {
-		return nil, err
-	}
-	return newTrial(sc, n, seed), nil
-}
-
-// newBenchPairFor is the shared newBenchPair body: two trial engines for
-// the same cell and seed attached to one shared table set — the same
-// multi-engine table sharing the lane sets use — so RunBenchmark can fill
-// the tables with an untimed run and then time the identical trajectory
-// through them warm.
-func newBenchPairFor[S comparable](p Protocol, sc Scenario, n int, seed uint64,
-	newTables func(Scenario, int) *population.Tables[S],
-	newTrialT func(Scenario, int, uint64, *population.Tables[S]) trialEngine[S],
-) (benchRunner, benchRunner, error) {
-	if err := p.Validate(sc); err != nil {
-		return nil, nil, err
-	}
-	tab := newTables(sc, n)
-	return newTrialT(sc, n, seed, tab), newTrialT(sc, n, seed, tab), nil
-}
 
 // internOpts maps the scenario's interner-capacity knob onto the interned
 // layer's options. Scenario.Validate bounds the knob, so every table
 // construction site routes through here.
 func internOpts(sc Scenario) population.InternOptions {
 	return population.InternOptions{MaxStates: sc.MaxStates}
-}
-
-// laneable is implemented by the built-in protocols: run a batch of
-// same-cell trials as lockstep lanes sharing one warm transition-table
-// set (population.LaneSet). Results are bit-identical to calling Trial
-// per seed — lanes only amortize table fills — so callers may freely
-// switch between the two paths.
-type laneable interface {
-	LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error)
-}
-
-// laneTrials is the one copy of the LaneTrials body: build one shared
-// table set, attach each seed's trial engine to it as a lane, and drive
-// the lane set to convergence. Scenarios whose trials need the event
-// machinery of trialEngine.run (faults, churn) and the test hooks that
-// force the generic or scan paths run each seed solo instead — the
-// results are identical either way, the lanes are purely a throughput
-// device. Stuck-agent scenarios stay on the lane path: prepare() routes
-// each lane to its generic engine up front and the lane set completes
-// them there.
-func laneTrials[S comparable](p Protocol, sc Scenario, n int, seeds []uint64,
-	newTables func(Scenario, int) *population.Tables[S],
-	newTrialT func(Scenario, int, uint64, *population.Tables[S]) trialEngine[S],
-) ([]TrialResult, error) {
-	if err := p.Validate(sc); err != nil {
-		return nil, err
-	}
-	newTrial := func(sc Scenario, n int, seed uint64) trialEngine[S] {
-		return newTrialT(sc, n, seed, newTables(sc, n))
-	}
-	solo := len(sc.Faults) > 0 || sc.Sched.hasChurn() ||
-		internedOff.Load() || convergenceScanEvery.Load() > 0
-	if solo || len(seeds) < 2 {
-		out := make([]TrialResult, len(seeds))
-		for i, seed := range seeds {
-			r, err := probedTrial(p, newTrial, sc, n, seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	maxSteps := sc.MaxSteps(p, n)
-	tab := newTables(sc, n)
-	tes := make([]trialEngine[S], len(seeds))
-	lanes := make([]*population.InternedEngine[S], len(seeds))
-	for i, seed := range seeds {
-		tes[i] = newTrialT(sc, n, seed, tab)
-		lanes[i] = tes[i].accel.(*population.InternedEngine[S])
-	}
-	steps, conv := population.NewLaneSet(lanes).RunUntilConverged(maxSteps)
-	out := make([]TrialResult, len(seeds))
-	for i, seed := range seeds {
-		out[i] = TrialResult{
-			N: n, Seed: seed, Steps: steps[i],
-			Stabilized: tes[i].eng.LastLeaderChange(), Converged: conv[i],
-		}
-	}
-	return out, nil
 }
 
 // validateElection is the scenario check shared by the four baselines:
@@ -472,10 +366,124 @@ func validateElection(info ProtocolInfo, sc Scenario) error {
 	return nil
 }
 
-// pplProtocol is the paper's P_PL with a configurable ψ slack and κ_max
-// multiplier.
-type pplProtocol struct {
-	slack, c1 int
+// validateFixedElection is validateElection for the oracle-census
+// baselines, which cannot re-splice mid-run either.
+func validateFixedElection(info ProtocolInfo, sc Scenario) error {
+	if err := validateElection(info, sc); err != nil {
+		return err
+	}
+	return rejectChurn(info, sc)
+}
+
+// ringProtocol is the one adapter between a protocol package and the
+// Protocol contract. Its fields are the protocol's descriptor; its
+// methods are the only copy of the trial, lane and bench entry paths.
+// Adding a protocol means one descriptor plus one mustRegister line.
+type ringProtocol[S comparable] struct {
+	info     ProtocolInfo
+	states   func(n int) uint64
+	fixSize  func(n int) int // nil: every size is admissible
+	maxSteps func(n int) uint64
+	validate func(info ProtocolInfo, sc Scenario) error
+	// tables builds the shared interned table set of one (scenario, n)
+	// cell; every trial engine of the cell may attach to it.
+	tables func(sc Scenario, n int) *population.Tables[S]
+	// trial wires one unrun trial engine over tab: initial configuration,
+	// leader tracking, the scenario's scheduler and the interned layer.
+	trial func(sc Scenario, n int, seed uint64, tab *population.Tables[S]) trialEngine[S]
+}
+
+func (p *ringProtocol[S]) Info() ProtocolInfo { return p.info }
+
+func (p *ringProtocol[S]) States(n int) uint64 { return p.states(n) }
+
+func (p *ringProtocol[S]) FixSize(n int) int {
+	if p.fixSize == nil {
+		return n
+	}
+	return p.fixSize(n)
+}
+
+func (p *ringProtocol[S]) MaxSteps(n int) uint64 { return p.maxSteps(n) }
+
+func (p *ringProtocol[S]) Validate(sc Scenario) error { return p.validate(p.info, sc) }
+
+// newTrial wires one trial engine over a table set of its own.
+func (p *ringProtocol[S]) newTrial(sc Scenario, n int, seed uint64) trialEngine[S] {
+	return p.trial(sc, n, seed, p.tables(sc, n))
+}
+
+func (p *ringProtocol[S]) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
+	return p.ProbedTrial(sc, n, seed, nil)
+}
+
+// ProbedTrial implements ProbedProtocol: Trial with the typed event
+// stream attached.
+func (p *ringProtocol[S]) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
+	if err := p.Validate(sc); err != nil {
+		return TrialResult{}, err
+	}
+	return p.newTrial(sc, n, seed).run(sc, n, seed, sc.MaxSteps(p, n), p.info.Name, probe), nil
+}
+
+// LaneTrials runs a batch of same-cell trials as lockstep lanes sharing
+// one warm table set (population.LaneSet). Results are bit-identical to
+// calling Trial per seed — lanes only amortize table fills — so callers
+// may freely switch between the two paths. Scenarios whose trials need the
+// event machinery of trialEngine.run (faults, churn) and the test hooks
+// that force the generic or scan paths run each seed solo instead.
+// Stuck-agent scenarios stay on the lane path: prepare() routes each lane
+// to its generic engine up front and the lane set completes them there.
+func (p *ringProtocol[S]) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
+	if err := p.Validate(sc); err != nil {
+		return nil, err
+	}
+	maxSteps := sc.MaxSteps(p, n)
+	out := make([]TrialResult, len(seeds))
+	solo := len(sc.Faults) > 0 || sc.Sched.hasChurn() ||
+		internedOff.Load() || convergenceScanEvery.Load() > 0
+	if solo || len(seeds) < 2 {
+		for i, seed := range seeds {
+			out[i] = p.newTrial(sc, n, seed).run(sc, n, seed, maxSteps, p.info.Name, nil)
+		}
+		return out, nil
+	}
+	tab := p.tables(sc, n)
+	tes := make([]trialEngine[S], len(seeds))
+	lanes := make([]*population.InternedEngine[S], len(seeds))
+	for i, seed := range seeds {
+		tes[i] = p.trial(sc, n, seed, tab)
+		lanes[i] = tes[i].accel.(*population.InternedEngine[S])
+	}
+	steps, conv := population.NewLaneSet(lanes).RunUntilConverged(maxSteps)
+	for i, seed := range seeds {
+		out[i] = TrialResult{
+			N: n, Seed: seed, Steps: steps[i],
+			Stabilized: tes[i].eng.LastLeaderChange(), Converged: conv[i],
+		}
+	}
+	return out, nil
+}
+
+// newBench builds a fully wired, unrun trial engine for RunBenchmark to
+// time.
+func (p *ringProtocol[S]) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
+	if err := p.Validate(sc); err != nil {
+		return nil, err
+	}
+	return p.newTrial(sc, n, seed), nil
+}
+
+// newBenchPair builds two trial engines for the same cell and seed over
+// one shared table set — the sharing the lanes use — so RunBenchmark can
+// fill the tables with an untimed run and then time the identical
+// trajectory through them warm.
+func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error) {
+	if err := p.Validate(sc); err != nil {
+		return nil, nil, err
+	}
+	tab := p.tables(sc, n)
+	return p.trial(sc, n, seed, tab), p.trial(sc, n, seed, tab), nil
 }
 
 // PPL returns the paper's protocol P_PL with the given ψ slack and κ_max
@@ -486,504 +494,269 @@ func PPL(slack, c1 int) Protocol {
 	if c1 <= 0 {
 		c1 = core.DefaultC1
 	}
-	return pplProtocol{slack: slack, c1: c1}
-}
-
-func (pplProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "P_PL (this work)",
-		Assumption:  "knowledge ψ = ⌈log n⌉+O(1)",
-		PaperTime:   "O(n² log n)",
-		PaperStates: "polylog(n)",
+	params := func(n int) core.Params { return core.NewParamsSlack(n, slack, c1) }
+	return &ringProtocol[core.State]{
+		info: ProtocolInfo{
+			Name:        "P_PL (this work)",
+			Assumption:  "knowledge ψ = ⌈log n⌉+O(1)",
+			PaperTime:   "O(n² log n)",
+			PaperStates: "polylog(n)",
+		},
+		states: func(n int) uint64 { return params(n).StateCount() },
+		maxSteps: func(n int) uint64 {
+			return 800 * uint64(n) * uint64(n) * uint64(params(n).Psi)
+		},
+		validate: func(_ ProtocolInfo, sc Scenario) error {
+			if err := sc.Validate(); err != nil {
+				return err
+			}
+			if sc.Topology != TopologyDefault && sc.Topology != TopologyDirectedRing {
+				return fmt.Errorf("repro: P_PL runs on a directed ring, not %v", sc.Topology)
+			}
+			return nil
+		},
+		// The packed codec keys the interner by the fixed-width state
+		// encoding, falling back to the map mode in parameterizations too
+		// wide to pack.
+		tables: func(sc Scenario, n int) *population.Tables[core.State] {
+			par := params(n)
+			var cp *population.PackedCodec[core.State]
+			if codec, ok := par.Codec(); ok {
+				cp = &codec
+			}
+			return population.NewTables(par.SafetySpec(), core.IsLeader, cp, nil, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[core.State]) trialEngine[core.State] {
+			par := params(n)
+			pr := core.New(par)
+			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
+			eng.SetStates(par.InitConfig(sc.Init.String(), seed))
+			eng.TrackLeaders(core.IsLeader)
+			tracker := population.NewRingTracker(par.SafetySpec())
+			applySched(eng, sc, seed)
+			return trialEngine[core.State]{
+				eng:     eng,
+				corrupt: func(rng *xrand.RNG, _ core.State) core.State { return par.RandomState(rng) },
+				tracker: tracker,
+				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				pred:    func(cfg []core.State) bool { return par.IsSafe(cfg) },
+			}
+		},
 	}
-}
-
-func (p pplProtocol) params(n int) core.Params {
-	return core.NewParamsSlack(n, p.slack, p.c1)
-}
-
-func (p pplProtocol) States(n int) uint64 { return p.params(n).StateCount() }
-
-func (pplProtocol) FixSize(n int) int { return n }
-
-func (p pplProtocol) MaxSteps(n int) uint64 {
-	return 800 * uint64(n) * uint64(n) * uint64(p.params(n).Psi)
-}
-
-func (p pplProtocol) Validate(sc Scenario) error {
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if sc.Topology != TopologyDefault && sc.Topology != TopologyDirectedRing {
-		return fmt.Errorf("repro: P_PL runs on a directed ring, not %v", sc.Topology)
-	}
-	return nil
-}
-
-// newTables builds the shared interned table set for one (scenario, n)
-// cell: the packed codec keys the interner by the fixed-width state
-// encoding (falling back to the map mode in parameterizations too wide to
-// pack).
-func (p pplProtocol) newTables(sc Scenario, n int) *population.Tables[core.State] {
-	par := p.params(n)
-	var cp *population.PackedCodec[core.State]
-	if codec, ok := par.Codec(); ok {
-		cp = &codec
-	}
-	return population.NewTables(par.SafetySpec(), core.IsLeader, cp, nil, internOpts(sc))
-}
-
-func (p pplProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[core.State]) trialEngine[core.State] {
-	par := p.params(n)
-	pr := core.New(par)
-	eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
-	eng.SetStates(par.InitConfig(sc.Init.String(), seed))
-	eng.TrackLeaders(core.IsLeader)
-	tracker := population.NewRingTracker(par.SafetySpec())
-	applySched(eng, sc, seed)
-	return trialEngine[core.State]{
-		eng:     eng,
-		corrupt: func(rng *xrand.RNG, _ core.State) core.State { return par.RandomState(rng) },
-		tracker: tracker,
-		accel:   population.AttachInterned(eng, tab, nil, tracker),
-		pred:    func(cfg []core.State) bool { return par.IsSafe(cfg) },
-		check:   n/2 + 1,
-	}
-}
-
-func (p pplProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[core.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p pplProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable: same-cell trials as lockstep lanes over
-// one shared table set.
-func (p pplProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p pplProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p pplProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p pplProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }
 
 // orientProtocol is the paper's Section 5 orientation protocol P_OR.
-type orientProtocol struct{}
-
-func (orientProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "P_OR (Section 5)",
-		Assumption:  "two-hop coloring",
-		PaperTime:   "O(n² log n)",
-		PaperStates: "O(1)",
-	}
-}
-
-func (orientProtocol) States(n int) uint64 {
-	return orient.StateCount(twohop.MinColors(n))
-}
-
-func (orientProtocol) FixSize(n int) int {
-	if n < 3 {
-		return 3
-	}
-	return n
-}
-
-func (orientProtocol) MaxSteps(n int) uint64 {
-	return 4000 * uint64(n) * uint64(n)
-}
-
-func (orientProtocol) Validate(sc Scenario) error {
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if sc.Topology != TopologyDefault && sc.Topology != TopologyUndirectedRing {
-		return fmt.Errorf("repro: P_OR runs on an undirected ring, not %v", sc.Topology)
-	}
-	if sc.Init != InitRandom {
-		return fmt.Errorf("repro: P_OR supports the random init class only, not %v", sc.Init)
-	}
-	return rejectChurn(orientProtocol{}.Info(), sc)
-}
-
-func (p orientProtocol) newTables(sc Scenario, n int) *population.Tables[orient.State] {
-	codec := orient.Codec()
-	return population.NewTables(orient.OrientedSpec(), nil, &codec, nil, internOpts(sc))
-}
-
-func (p orientProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[orient.State]) trialEngine[orient.State] {
-	colors := twohop.Coloring(n)
-	maxColor := 0
-	for _, c := range colors {
-		if int(c) > maxColor {
-			maxColor = int(c)
-		}
-	}
-	pr := orient.New()
-	eng := population.NewEngine(population.UndirectedRing(n), pr.Step, xrand.New(seed))
-	eng.SetStates(orient.InitialConfig(colors, xrand.New(seed^initSeedSalt)))
-	tracker := population.NewRingTracker(orient.OrientedSpec())
-	applySched(eng, sc, seed)
-	return trialEngine[orient.State]{
-		eng: eng,
-		// Corruption scrambles the evolving registers but preserves the
-		// coloring, which is protocol input, not state.
-		corrupt: func(rng *xrand.RNG, cur orient.State) orient.State {
-			return orient.State{
-				Color:  cur.Color,
-				Dir:    uint8(rng.Intn(maxColor + 2)),
-				M1:     uint8(rng.Intn(maxColor + 2)),
-				M2:     uint8(rng.Intn(maxColor + 2)),
-				Strong: rng.Bool(),
+func orientProtocol() Protocol {
+	return &ringProtocol[orient.State]{
+		info: ProtocolInfo{
+			Name:        "P_OR (Section 5)",
+			Assumption:  "two-hop coloring",
+			PaperTime:   "O(n² log n)",
+			PaperStates: "O(1)",
+		},
+		states: func(n int) uint64 { return orient.StateCount(twohop.MinColors(n)) },
+		fixSize: func(n int) int {
+			if n < 3 {
+				return 3
+			}
+			return n
+		},
+		maxSteps: func(n int) uint64 { return 4000 * uint64(n) * uint64(n) },
+		validate: func(info ProtocolInfo, sc Scenario) error {
+			if err := sc.Validate(); err != nil {
+				return err
+			}
+			if sc.Topology != TopologyDefault && sc.Topology != TopologyUndirectedRing {
+				return fmt.Errorf("repro: P_OR runs on an undirected ring, not %v", sc.Topology)
+			}
+			if sc.Init != InitRandom {
+				return fmt.Errorf("repro: P_OR supports the random init class only, not %v", sc.Init)
+			}
+			return rejectChurn(info, sc)
+		},
+		tables: func(sc Scenario, _ int) *population.Tables[orient.State] {
+			codec := orient.Codec()
+			return population.NewTables(orient.OrientedSpec(), nil, &codec, nil, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[orient.State]) trialEngine[orient.State] {
+			colors := twohop.Coloring(n)
+			maxColor := 0
+			for _, c := range colors {
+				if int(c) > maxColor {
+					maxColor = int(c)
+				}
+			}
+			pr := orient.New()
+			eng := population.NewEngine(population.UndirectedRing(n), pr.Step, xrand.New(seed))
+			eng.SetStates(orient.InitialConfig(colors, xrand.New(seed^initSeedSalt)))
+			tracker := population.NewRingTracker(orient.OrientedSpec())
+			applySched(eng, sc, seed)
+			return trialEngine[orient.State]{
+				eng: eng,
+				// Corruption scrambles the evolving registers but preserves
+				// the coloring, which is protocol input, not state.
+				corrupt: func(rng *xrand.RNG, cur orient.State) orient.State {
+					return orient.State{
+						Color:  cur.Color,
+						Dir:    uint8(rng.Intn(maxColor + 2)),
+						M1:     uint8(rng.Intn(maxColor + 2)),
+						M2:     uint8(rng.Intn(maxColor + 2)),
+						Strong: rng.Bool(),
+					}
+				},
+				tracker: tracker,
+				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				pred:    orient.Oriented,
 			}
 		},
-		tracker: tracker,
-		accel:   population.AttachInterned(eng, tab, nil, tracker),
-		pred:    orient.Oriented,
-		check:   n,
 	}
-}
-
-func (p orientProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[orient.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p orientProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable.
-func (p orientProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p orientProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p orientProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p orientProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }
 
 // yokotaProtocol is the [28] baseline with knowledge N = 2n.
-type yokotaProtocol struct{}
-
-func (yokotaProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "[28] Yokota et al.",
-		Assumption:  "knowledge N = n+O(n)",
-		PaperTime:   "Θ(n²)",
-		PaperStates: "O(n)",
+func yokotaProtocol() Protocol {
+	return &ringProtocol[yokota.State]{
+		info: ProtocolInfo{
+			Name:        "[28] Yokota et al.",
+			Assumption:  "knowledge N = n+O(n)",
+			PaperTime:   "Θ(n²)",
+			PaperStates: "O(n)",
+		},
+		states:   func(n int) uint64 { return yokota.New(2 * n).StateCount() },
+		maxSteps: func(n int) uint64 { return 800 * uint64(n) * uint64(n) },
+		validate: validateElection,
+		tables: func(sc Scenario, n int) *population.Tables[yokota.State] {
+			pr := yokota.New(2 * n)
+			codec := pr.Codec()
+			return population.NewTables(pr.StableSpec(), yokota.IsLeader, &codec, nil, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[yokota.State]) trialEngine[yokota.State] {
+			pr := yokota.New(2 * n)
+			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
+			eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
+			eng.TrackLeaders(yokota.IsLeader)
+			tracker := population.NewRingTracker(pr.StableSpec())
+			applySched(eng, sc, seed)
+			return trialEngine[yokota.State]{
+				eng:     eng,
+				corrupt: func(rng *xrand.RNG, _ yokota.State) yokota.State { return pr.RandomState(rng) },
+				tracker: tracker,
+				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				pred:    pr.Stable,
+			}
+		},
 	}
-}
-
-func (yokotaProtocol) States(n int) uint64 { return yokota.New(2 * n).StateCount() }
-
-func (yokotaProtocol) FixSize(n int) int { return n }
-
-func (yokotaProtocol) MaxSteps(n int) uint64 { return 800 * uint64(n) * uint64(n) }
-
-func (p yokotaProtocol) Validate(sc Scenario) error { return validateElection(p.Info(), sc) }
-
-func (p yokotaProtocol) newTables(sc Scenario, n int) *population.Tables[yokota.State] {
-	pr := yokota.New(2 * n)
-	codec := pr.Codec()
-	return population.NewTables(pr.StableSpec(), yokota.IsLeader, &codec, nil, internOpts(sc))
-}
-
-func (p yokotaProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[yokota.State]) trialEngine[yokota.State] {
-	pr := yokota.New(2 * n)
-	eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
-	eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
-	eng.TrackLeaders(yokota.IsLeader)
-	tracker := population.NewRingTracker(pr.StableSpec())
-	applySched(eng, sc, seed)
-	return trialEngine[yokota.State]{
-		eng:     eng,
-		corrupt: func(rng *xrand.RNG, _ yokota.State) yokota.State { return pr.RandomState(rng) },
-		tracker: tracker,
-		accel:   population.AttachInterned(eng, tab, nil, tracker),
-		pred:    pr.Stable,
-		check:   n/2 + 1,
-	}
-}
-
-func (p yokotaProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[yokota.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p yokotaProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable.
-func (p yokotaProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p yokotaProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p yokotaProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p yokotaProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }
 
 // angluinProtocol is the [5]-style mod-k baseline with k = 2; requested
 // even sizes are bumped to the next odd size.
-type angluinProtocol struct{}
-
-func (angluinProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "[5] Angluin et al.",
-		Assumption:  "n not multiple of k=2",
-		PaperTime:   "Θ(n³)",
-		PaperStates: "O(1)",
+func angluinProtocol() Protocol {
+	return &ringProtocol[angluin.State]{
+		info: ProtocolInfo{
+			Name:        "[5] Angluin et al.",
+			Assumption:  "n not multiple of k=2",
+			PaperTime:   "Θ(n³)",
+			PaperStates: "O(1)",
+		},
+		states: func(int) uint64 { return angluin.New(2).StateCount() },
+		fixSize: func(n int) int {
+			if n%2 == 0 {
+				return n + 1
+			}
+			return n
+		},
+		maxSteps: func(n int) uint64 { return 400 * uint64(n) * uint64(n) * uint64(n) },
+		validate: validateElection,
+		tables: func(sc Scenario, _ int) *population.Tables[angluin.State] {
+			codec := angluin.Codec()
+			return population.NewTables(angluin.New(2).StableSpec(), angluin.IsLeader, &codec, nil, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[angluin.State]) trialEngine[angluin.State] {
+			pr := angluin.New(2)
+			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
+			eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
+			eng.TrackLeaders(angluin.IsLeader)
+			tracker := population.NewRingTracker(pr.StableSpec())
+			applySched(eng, sc, seed)
+			return trialEngine[angluin.State]{
+				eng:     eng,
+				corrupt: func(rng *xrand.RNG, _ angluin.State) angluin.State { return pr.RandomState(rng) },
+				tracker: tracker,
+				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				pred:    pr.Stable,
+			}
+		},
 	}
-}
-
-func (angluinProtocol) States(n int) uint64 { return angluin.New(2).StateCount() }
-
-func (angluinProtocol) FixSize(n int) int {
-	if n%2 == 0 {
-		return n + 1
-	}
-	return n
-}
-
-func (angluinProtocol) MaxSteps(n int) uint64 {
-	return 400 * uint64(n) * uint64(n) * uint64(n)
-}
-
-func (p angluinProtocol) Validate(sc Scenario) error { return validateElection(p.Info(), sc) }
-
-func (p angluinProtocol) newTables(sc Scenario, n int) *population.Tables[angluin.State] {
-	codec := angluin.Codec()
-	return population.NewTables(angluin.New(2).StableSpec(), angluin.IsLeader, &codec, nil, internOpts(sc))
-}
-
-func (p angluinProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[angluin.State]) trialEngine[angluin.State] {
-	pr := angluin.New(2)
-	eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
-	eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
-	eng.TrackLeaders(angluin.IsLeader)
-	tracker := population.NewRingTracker(pr.StableSpec())
-	applySched(eng, sc, seed)
-	return trialEngine[angluin.State]{
-		eng:     eng,
-		corrupt: func(rng *xrand.RNG, _ angluin.State) angluin.State { return pr.RandomState(rng) },
-		tracker: tracker,
-		accel:   population.AttachInterned(eng, tab, nil, tracker),
-		pred:    pr.Stable,
-		check:   n/2 + 1,
-	}
-}
-
-func (p angluinProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[angluin.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p angluinProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable.
-func (p angluinProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p angluinProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p angluinProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p angluinProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }
 
 // fjProtocol is the [15]-style oracle baseline.
-type fjProtocol struct{}
-
-func (fjProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "[15] Fischer–Jiang",
-		Assumption:  "oracle Ω?",
-		PaperTime:   "Θ(n³)",
-		PaperStates: "O(1)",
+func fjProtocol() Protocol {
+	return &ringProtocol[fj.State]{
+		info: ProtocolInfo{
+			Name:        "[15] Fischer–Jiang",
+			Assumption:  "oracle Ω?",
+			PaperTime:   "Θ(n³)",
+			PaperStates: "O(1)",
+		},
+		states:   func(int) uint64 { return fj.New().StateCount() },
+		maxSteps: func(n int) uint64 { return 400 * uint64(n) * uint64(n) * uint64(n) },
+		validate: validateFixedElection,
+		tables: func(sc Scenario, _ int) *population.Tables[fj.State] {
+			codec := fj.Codec()
+			// Tables only read the env's shape (Keys, the pure Delta); any
+			// runner's EnvSpec supplies them.
+			env := fj.NewRunner(3, xrand.New(1)).InternEnv()
+			return population.NewTables(fj.New().StableSpec(), fj.IsLeader, &codec, env, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[fj.State]) trialEngine[fj.State] {
+			ru := fj.NewRunner(n, xrand.New(seed))
+			ru.SetStates(fj.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
+			tracker := population.NewRingTracker(fj.New().StableSpec())
+			applySched(ru.Engine(), sc, seed)
+			return trialEngine[fj.State]{
+				eng:     ru.Engine(),
+				install: ru.SetStates, // keep the oracle census in sync
+				corrupt: func(rng *xrand.RNG, _ fj.State) fj.State { return fj.New().RandomState(rng) },
+				tracker: tracker,
+				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
+				pred:    fj.Stable,
+			}
+		},
 	}
-}
-
-func (fjProtocol) States(n int) uint64 { return fj.New().StateCount() }
-
-func (fjProtocol) FixSize(n int) int { return n }
-
-func (fjProtocol) MaxSteps(n int) uint64 {
-	return 400 * uint64(n) * uint64(n) * uint64(n)
-}
-
-func (p fjProtocol) Validate(sc Scenario) error {
-	if err := validateElection(p.Info(), sc); err != nil {
-		return err
-	}
-	return rejectChurn(p.Info(), sc)
-}
-
-func (p fjProtocol) newTables(sc Scenario, n int) *population.Tables[fj.State] {
-	codec := fj.Codec()
-	// Tables only read the env's shape (Keys, the pure Delta); any runner's
-	// EnvSpec supplies them.
-	env := fj.NewRunner(3, xrand.New(1)).InternEnv()
-	return population.NewTables(fj.New().StableSpec(), fj.IsLeader, &codec, env, internOpts(sc))
-}
-
-func (p fjProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[fj.State]) trialEngine[fj.State] {
-	ru := fj.NewRunner(n, xrand.New(seed))
-	ru.SetStates(fj.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
-	tracker := population.NewRingTracker(fj.New().StableSpec())
-	applySched(ru.Engine(), sc, seed)
-	return trialEngine[fj.State]{
-		eng:     ru.Engine(),
-		install: ru.SetStates, // keep the oracle census in sync
-		corrupt: func(rng *xrand.RNG, _ fj.State) fj.State { return fj.New().RandomState(rng) },
-		tracker: tracker,
-		accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
-		pred:    fj.Stable,
-		check:   n/2 + 1,
-	}
-}
-
-func (p fjProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[fj.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p fjProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable.
-func (p fjProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p fjProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p fjProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p fjProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }
 
 // chenchenProtocol is the [11]-style baseline. The reconstruction
 // serializes detection attempts with a flag-census oracle (see
 // internal/chenchen), so its measured time class is not the original's
 // super-exponential bound; run it at small n only.
-type chenchenProtocol struct{}
-
-func (chenchenProtocol) Info() ProtocolInfo {
-	return ProtocolInfo{
-		Name:        "[11] Chen–Chen",
-		Assumption:  "none (reconstruction: census oracle)",
-		PaperTime:   "exponential",
-		PaperStates: "O(1)",
+func chenchenProtocol() Protocol {
+	return &ringProtocol[chenchen.State]{
+		info: ProtocolInfo{
+			Name:        "[11] Chen–Chen",
+			Assumption:  "none (reconstruction: census oracle)",
+			PaperTime:   "exponential",
+			PaperStates: "O(1)",
+		},
+		states:   func(int) uint64 { return chenchen.New().StateCount() },
+		maxSteps: func(n int) uint64 { return 2000 * uint64(n) * uint64(n) * uint64(n) },
+		validate: validateFixedElection,
+		tables: func(sc Scenario, _ int) *population.Tables[chenchen.State] {
+			codec := chenchen.Codec()
+			env := chenchen.NewRunner(3, xrand.New(1)).InternEnv()
+			return population.NewTables(chenchen.New().StableSpec(), chenchen.IsLeader, &codec, env, internOpts(sc))
+		},
+		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[chenchen.State]) trialEngine[chenchen.State] {
+			ru := chenchen.NewRunner(n, xrand.New(seed))
+			ru.SetStates(chenchen.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
+			tracker := population.NewRingTracker(chenchen.New().StableSpec())
+			applySched(ru.Engine(), sc, seed)
+			return trialEngine[chenchen.State]{
+				eng:     ru.Engine(),
+				install: ru.SetStates, // keep the flag census in sync
+				corrupt: func(rng *xrand.RNG, _ chenchen.State) chenchen.State { return chenchen.New().RandomState(rng) },
+				tracker: tracker,
+				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
+				pred:    chenchen.Stable,
+			}
+		},
 	}
-}
-
-func (chenchenProtocol) States(n int) uint64 { return chenchen.New().StateCount() }
-
-func (chenchenProtocol) FixSize(n int) int { return n }
-
-func (chenchenProtocol) MaxSteps(n int) uint64 {
-	return 2000 * uint64(n) * uint64(n) * uint64(n)
-}
-
-func (p chenchenProtocol) Validate(sc Scenario) error {
-	if err := validateElection(p.Info(), sc); err != nil {
-		return err
-	}
-	return rejectChurn(p.Info(), sc)
-}
-
-func (p chenchenProtocol) newTables(sc Scenario, n int) *population.Tables[chenchen.State] {
-	codec := chenchen.Codec()
-	env := chenchen.NewRunner(3, xrand.New(1)).InternEnv()
-	return population.NewTables(chenchen.New().StableSpec(), chenchen.IsLeader, &codec, env, internOpts(sc))
-}
-
-func (p chenchenProtocol) newTrialT(sc Scenario, n int, seed uint64, tab *population.Tables[chenchen.State]) trialEngine[chenchen.State] {
-	ru := chenchen.NewRunner(n, xrand.New(seed))
-	ru.SetStates(chenchen.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
-	tracker := population.NewRingTracker(chenchen.New().StableSpec())
-	applySched(ru.Engine(), sc, seed)
-	return trialEngine[chenchen.State]{
-		eng:     ru.Engine(),
-		install: ru.SetStates, // keep the flag census in sync
-		corrupt: func(rng *xrand.RNG, _ chenchen.State) chenchen.State { return chenchen.New().RandomState(rng) },
-		tracker: tracker,
-		accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
-		pred:    chenchen.Stable,
-		check:   n/2 + 1,
-	}
-}
-
-func (p chenchenProtocol) newTrial(sc Scenario, n int, seed uint64) trialEngine[chenchen.State] {
-	return p.newTrialT(sc, n, seed, p.newTables(sc, n))
-}
-
-func (p chenchenProtocol) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
-	return p.ProbedTrial(sc, n, seed, nil)
-}
-
-// LaneTrials implements laneable.
-func (p chenchenProtocol) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	return laneTrials(p, sc, n, seeds, p.newTables, p.newTrialT)
-}
-
-// ProbedTrial implements ProbedProtocol: Trial with the typed event
-// stream attached.
-func (p chenchenProtocol) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
-	return probedTrial(p, p.newTrial, sc, n, seed, probe)
-}
-
-func (p chenchenProtocol) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
-	return newBenchFor(p, p.newTrial, sc, n, seed)
-}
-
-func (p chenchenProtocol) newBenchPair(sc Scenario, n int, seed uint64) (benchRunner, benchRunner, error) {
-	return newBenchPairFor(p, sc, n, seed, p.newTables, p.newTrialT)
 }

@@ -5,10 +5,11 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
 // Summary holds the descriptive statistics of one cell's converged trials.
@@ -126,34 +127,108 @@ func (r *Report) Exponents() map[string]float64 {
 // steps-per-size table, the summary table (assumption, paper bounds,
 // fitted exponent, exact state counts), and the trial count.
 func (r *Report) Markdown() string {
-	names := make([]string, len(r.Rows))
-	rows := make([]harness.Row, len(r.Rows))
-	cells := make([][]harness.Cell, len(r.Rows))
-	for i, row := range r.Rows {
-		names[i] = row.Protocol.Name
-		rows[i] = harness.Row{
-			Name:        row.Protocol.Name,
-			Assumption:  row.Protocol.Assumption,
-			PaperTime:   row.Protocol.PaperTime,
-			PaperStates: row.Protocol.PaperStates,
-			States:      row.States,
-		}
-		cells[i] = harnessCells(row.Cells)
-	}
-	statesAt := 0
-	if len(r.Sizes) > 0 {
-		statesAt = r.Sizes[len(r.Sizes)-1]
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "### Mean convergence steps (%s)\n\n", r.Scenario.Init.describe())
-	b.WriteString(harness.Table(names, cells, r.Sizes))
+	r.stepsTable(&b)
 	b.WriteString("\n### Table 1 reproduction\n\n")
-	b.WriteString(harness.SummaryTable(rows, cells, statesAt))
+	r.summaryTable(&b)
 	fmt.Fprintf(&b, "\nTrials per cell: %d.\n", r.Trials)
 	for _, label := range r.Metrics {
 		b.WriteString(r.metricTable(label))
 	}
 	return b.String()
+}
+
+// stepsTable renders the rows side by side: one line per requested size,
+// mean convergence steps per protocol, "—" for cells without data.
+func (r *Report) stepsTable(b *strings.Builder) {
+	b.WriteString("| n |")
+	for _, row := range r.Rows {
+		fmt.Fprintf(b, " %s |", row.Protocol.Name)
+	}
+	b.WriteString("\n|---|")
+	b.WriteString(strings.Repeat("---|", len(r.Rows)))
+	b.WriteByte('\n')
+	for i, n := range r.Sizes {
+		b.WriteString("| " + r.sizeLabel(i, n) + " |")
+		for _, row := range r.Rows {
+			if i >= len(row.Cells) || row.Cells[i].Steps.Count == 0 {
+				b.WriteString(" — |")
+				continue
+			}
+			fmt.Fprintf(b, " %.3g |", row.Cells[i].Steps.Mean)
+		}
+		b.WriteByte('\n')
+	}
+}
+
+// sizeLabel renders the n column of table line i from the actual trial
+// sizes of its populated cells, not the requested size: FixSize may
+// adjust a request (orient bumps n=2 to 3, the mod-k baseline bumps even
+// sizes), and labeling those lines with the requested size attributes the
+// measurements to a ring that was never run. A line without data falls
+// back to the requested size; distinct actual sizes in one line
+// (protocols adjusting differently) are slash-joined so none is
+// misattributed.
+func (r *Report) sizeLabel(i, requested int) string {
+	var distinct []int
+	for _, row := range r.Rows {
+		if i >= len(row.Cells) || row.Cells[i].Steps.Count == 0 {
+			continue
+		}
+		if n := row.Cells[i].N; !slices.Contains(distinct, n) {
+			distinct = append(distinct, n)
+		}
+	}
+	if len(distinct) == 0 {
+		return strconv.Itoa(requested)
+	}
+	slices.Sort(distinct)
+	parts := make([]string, len(distinct))
+	for j, n := range distinct {
+		parts[j] = strconv.Itoa(n)
+	}
+	return strings.Join(parts, "/")
+}
+
+// summaryTable renders the Table 1 reproduction: assumption, paper-cited
+// bounds, measured exponent and the state count at the reference size
+// (the last requested size). The |Q| header is escaped as \|Q\| so
+// markdown renderers do not read its pipes as column separators.
+func (r *Report) summaryTable(b *strings.Builder) {
+	statesAt := 0
+	if len(r.Sizes) > 0 {
+		statesAt = r.Sizes[len(r.Sizes)-1]
+	}
+	fmt.Fprintf(b, "| protocol | assumption | paper time | measured exponent | paper states | \\|Q\\|(n=%d) |\n", statesAt)
+	b.WriteString("|---|---|---|---|---|---|\n")
+	for _, row := range r.Rows {
+		expStr := "—"
+		if exp, ok := fitExponent(row.Cells); ok {
+			expStr = fmt.Sprintf("n^%.2f", exp)
+		}
+		fmt.Fprintf(b, "| %s | %s | %s | %s | %s | %d |\n", row.Protocol.Name,
+			row.Protocol.Assumption, row.Protocol.PaperTime, expStr, row.Protocol.PaperStates, row.States)
+	}
+}
+
+// fitExponent fits mean convergence steps against n as a power law and
+// returns the exponent. Cells without data are skipped; the boolean is
+// false when fewer than two usable cells remain, distinguishing "no data"
+// from a genuine zero fit.
+func fitExponent(cells []ReportCell) (float64, bool) {
+	var x, y []float64
+	for _, c := range cells {
+		if c.Steps.Count == 0 {
+			continue
+		}
+		x = append(x, float64(c.N))
+		y = append(y, c.Steps.Mean)
+	}
+	if len(x) < 2 {
+		return 0, false
+	}
+	return stats.PowerLawExponent(x, y), true
 }
 
 // metricTable renders one metric as a protocol × size table; cells without

@@ -146,6 +146,23 @@ func TestReportGoldenFailureOnly(t *testing.T) {
 	}
 }
 
+// TestReportGoldenMarkdown pins the exact Markdown bytes: FixSize-adjusted
+// n labels (orient and the mod-k baseline bump n=2 to 3, angluin bumps
+// even sizes, slash-joined where protocols disagree), a capped row, the
+// escaped |Q| header, exponent fits, and a failure-only report.
+func TestReportGoldenMarkdown(t *testing.T) {
+	rep, err := repro.NewExperiment().
+		ProtocolNames("yokota", "ppl", "angluin", "orient").
+		Sizes(2, 8, 16).
+		Trials(2).
+		MaxSizeFor("[28] Yokota et al.", 8).
+		Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "report.md", []byte(rep.Markdown()+"\n"+failureReport(t).Markdown()))
+}
+
 // TestReportMarkdownShape covers the rendered layout: heading per
 // scenario, the escaped |Q| column, missing cells for the capped row, and
 // the em-dash for an unfittable exponent.
@@ -165,4 +182,84 @@ func TestReportMarkdownShape(t *testing.T) {
 	if strings.Contains(md, " |Q|(") {
 		t.Fatalf("unescaped |Q| header:\n%s", md)
 	}
+}
+
+// TestTableRendering covers the steps table's basics: a column per
+// protocol name, the mean of a populated cell, and the em-dash of a cell
+// without data.
+func TestTableRendering(t *testing.T) {
+	rep := repro.Report{Sizes: []int{8}, Rows: []repro.ReportRow{
+		mdRow("A", mdCell(8, 100)),
+		mdRow("B", repro.ReportCell{N: 8}),
+	}}
+	md := rep.Markdown()
+	if !strings.Contains(md, "| A |") || !strings.Contains(md, "| 8 | 100 | — |") {
+		t.Fatalf("table rendering:\n%s", md)
+	}
+}
+
+// TestTableActualSizes is the golden test of the n-column fix: a
+// size-adjusting protocol (orient bumps n=2→3, the mod-k baseline bumps
+// even sizes) must be labeled with the size its trials actually ran at,
+// not the requested one; lines where protocols adjusted differently list
+// every actual size, and lines with no data fall back to the request.
+func TestTableActualSizes(t *testing.T) {
+	rep := repro.Report{Sizes: []int{8, 16, 32}, Rows: []repro.ReportRow{
+		mdRow("[5]", mdCell(9, 100), mdCell(17, 200), repro.ReportCell{}),
+		mdRow("P_PL", mdCell(8, 50), mdCell(16, 150), repro.ReportCell{}),
+	}}
+	want := "" +
+		"| n | [5] | P_PL |\n" +
+		"|---|---|---|\n" +
+		"| 8/9 | 100 | 50 |\n" +
+		"| 16/17 | 200 | 150 |\n" +
+		"| 32 | — | — |\n"
+	if md := rep.Markdown(); !strings.Contains(md, want) {
+		t.Fatalf("steps table drifted from golden:\n--- got ---\n%s--- want ---\n%s", md, want)
+	}
+
+	// A single size-adjusting protocol: the line label is the actual size.
+	rep = repro.Report{Sizes: []int{8}, Rows: []repro.ReportRow{mdRow("[5]", mdCell(9, 100))}}
+	if md := rep.Markdown(); !strings.Contains(md, "| 9 | 100 |") || strings.Contains(md, "| 8 |") {
+		t.Fatalf("requested size leaked into a size-adjusted line:\n%s", md)
+	}
+}
+
+// TestSummaryTableRendering covers the Table 1 summary: the row metadata,
+// the fitted exponent, the escaped |Q| header and the em-dash of a row
+// with too little data to fit.
+func TestSummaryTableRendering(t *testing.T) {
+	row := repro.ReportRow{
+		Protocol: repro.ProtocolInfo{
+			Name:        "[28] Yokota et al.",
+			Assumption:  "knowledge N = n+O(n)",
+			PaperTime:   "Θ(n²)",
+			PaperStates: "O(n)",
+		},
+		States: 792,
+		Cells:  []repro.ReportCell{mdCell(8, 100), mdCell(16, 420)},
+	}
+	rep := repro.Report{Sizes: []int{8, 16}, Rows: []repro.ReportRow{row}}
+	md := rep.Markdown()
+	if !strings.Contains(md, "| [28] Yokota et al. | knowledge N = n+O(n) | Θ(n²) | n^2.07 | O(n) | 792 |") {
+		t.Fatalf("summary row missing in:\n%s", md)
+	}
+	// The |Q| header must be escaped so markdown renderers keep the column
+	// layout intact.
+	if !strings.Contains(md, `\|Q\|(n=16)`) || strings.Contains(md, " |Q|(") {
+		t.Fatalf("unescaped |Q| header in:\n%s", md)
+	}
+	row.Cells = row.Cells[:1]
+	rep = repro.Report{Sizes: []int{8}, Rows: []repro.ReportRow{row}}
+	if md := rep.Markdown(); !strings.Contains(md, "| Θ(n²) | — | O(n) |") {
+		t.Fatalf("missing no-fit placeholder in:\n%s", md)
+	}
+}
+
+func mdRow(name string, cells ...repro.ReportCell) repro.ReportRow {
+	return repro.ReportRow{Protocol: repro.ProtocolInfo{Name: name}, Cells: cells}
+}
+
+func mdCell(n int, mean float64) repro.ReportCell {
+	return repro.ReportCell{N: n, Steps: repro.Summary{Count: 1, Mean: mean}}
 }

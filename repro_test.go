@@ -109,13 +109,3 @@ func TestRingOrientationScramble(t *testing.T) {
 		t.Fatal("did not re-orient after scramble")
 	}
 }
-
-func TestComparisonTiny(t *testing.T) {
-	res := Comparison([]int{8, 16}, 2, 8)
-	if !strings.Contains(res.Markdown, "P_PL") || !strings.Contains(res.Markdown, "[28]") {
-		t.Fatalf("comparison output:\n%s", res.Markdown)
-	}
-	if len(res.Exponents) != 5 {
-		t.Fatalf("exponents: %v", res.Exponents)
-	}
-}

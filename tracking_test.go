@@ -92,7 +92,8 @@ type flipState struct{ leader bool }
 // TestFaultInstallRecordsLeaderChange pins the trialEngine half of the
 // fault-accounting fix: a burst whose install changes the leader set must
 // move Stabilized to the install step even when no interaction afterwards
-// touches a leader bit. Under the pre-fix engine this reported 0.
+// touches a leader bit. Under the pre-fix engine this reported 0. The
+// engine has no tracker, so the per-step scan oracle judges convergence.
 func TestFaultInstallRecordsLeaderChange(t *testing.T) {
 	eng := population.NewEngine(population.DirectedRing(4),
 		func(l, r flipState) (flipState, flipState) { return l, r }, // no-op protocol
@@ -102,8 +103,9 @@ func TestFaultInstallRecordsLeaderChange(t *testing.T) {
 		eng:     eng,
 		corrupt: func(*xrand.RNG, flipState) flipState { return flipState{leader: true} },
 		pred:    func([]flipState) bool { return true },
-		check:   1,
 	}
+	convergenceScanEvery.Store(1)
+	defer convergenceScanEvery.Store(0)
 	res := te.run(Scenario{Faults: []Fault{{AtStep: 5, Agents: 1}}}, 4, 7, 100, "flip", nil)
 	if res.Steps != 5 {
 		t.Fatalf("trial ended at step %d, want the install step 5", res.Steps)
@@ -176,11 +178,10 @@ func TestBudgetScaleClamp(t *testing.T) {
 }
 
 // TestRunBenchmarkModes exercises the public perf-baseline surface behind
-// cmd/bench across all three modes and pins the tracked-vs-scan relation:
-// same trial, exact hitting time at or before the scan-era one.
+// cmd/bench in the raw and tracked modes and its input validation; the
+// tracked-vs-scan exactness lives in TestTrialTrackedMatchesScanOracle.
 func TestRunBenchmarkModes(t *testing.T) {
-	var tracked, scanned BenchResult
-	for _, mode := range []BenchMode{BenchRaw, BenchTracked, BenchScan} {
+	for _, mode := range []BenchMode{BenchRaw, BenchTracked} {
 		res, err := RunBenchmark("ppl", 16, 1, Scenario{}, mode, 5000)
 		if err != nil {
 			t.Fatal(err)
@@ -188,19 +189,9 @@ func TestRunBenchmarkModes(t *testing.T) {
 		if res.N != 16 || res.Steps == 0 || !res.Converged || res.StepsPerSec <= 0 {
 			t.Fatalf("%s: degenerate result %+v", mode, res)
 		}
-		switch mode {
-		case BenchRaw:
-			if res.Steps != 5000 {
-				t.Fatalf("raw mode ran %d steps, want the requested 5000", res.Steps)
-			}
-		case BenchTracked:
-			tracked = res
-		case BenchScan:
-			scanned = res
+		if mode == BenchRaw && res.Steps != 5000 {
+			t.Fatalf("raw mode ran %d steps, want the requested 5000", res.Steps)
 		}
-	}
-	if tracked.Steps > scanned.Steps {
-		t.Fatalf("tracked hitting time %d after scan-era %d", tracked.Steps, scanned.Steps)
 	}
 	if _, err := RunBenchmark("paxos", 16, 1, Scenario{}, BenchTracked, 0); err == nil {
 		t.Fatal("unknown protocol accepted")
