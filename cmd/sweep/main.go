@@ -20,6 +20,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -578,27 +579,20 @@ func e14Adversary(p profile) {
 	for _, adv := range adversaries {
 		sc := repro.Scenario{Sched: adv.sched}
 		check(proto.Validate(sc))
-		type outcome struct {
-			rec repro.TrialRecord
-			err error
-		}
-		outs, err := runner.Map(context.Background(), p.table1Trials, func(t int) outcome {
-			probe := &repro.RecordingProbe{}
-			_, err := repro.ProbeTrial(proto, sc, n, repro.TrialSeed(n, t), probe)
-			return outcome{probe.Record(), err}
-		}, pool)
+		data, err := repro.RunCell(context.Background(), proto, sc, n, 0, p.table1Trials, pool.Workers)
+		check(err)
+		recs, err := repro.ReadTrialRecords(bytes.NewReader(data))
 		check(err)
 		var steps []float64
 		var recovery []float64
 		converged := 0
 		dynamics := "—"
-		for _, o := range outs {
-			check(o.err)
-			if o.rec.Converged {
+		for _, rec := range recs {
+			if rec.Converged {
 				converged++
-				steps = append(steps, float64(o.rec.Steps))
+				steps = append(steps, float64(rec.Steps))
 			}
-			obs := o.rec.Observables
+			obs := rec.Observables
 			if rc, ok := obs["eclipse_recovery_steps"]; ok {
 				recovery = append(recovery, rc)
 			}

@@ -263,8 +263,8 @@
 // The building blocks live under internal/: the population-protocol
 // engine (internal/population), the protocol itself (internal/core), the
 // baselines (internal/yokota, internal/angluin, internal/fj,
-// internal/chenchen), the substrates (internal/thuemorse, internal/twohop,
-// internal/lottery), statistics (internal/stats) and the parallel
+// internal/chenchen), the substrates (internal/twohop, internal/lottery,
+// internal/war), statistics (internal/stats) and the parallel
 // trial-execution engine (internal/runner).
 //
 // See README.md for the narrative overview, docs/ARCHITECTURE.md for the

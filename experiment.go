@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -127,8 +128,8 @@ func (e *Experiment) Observer(fn func(Progress)) *Experiment {
 // Sinks attaches TrialRecord consumers. Records stream to every sink as
 // workers finish — completion order, not trial order — and every sink is
 // closed exactly once before Run or Stream returns (see Sink for the full
-// contract). Attaching a sink switches trials to the probed path, which
-// leaves results bit-identical.
+// contract). Every trial runs under a RecordingProbe whether or not a
+// sink is attached, so sinks see exactly the records Run aggregates.
 func (e *Experiment) Sinks(sinks ...Sink) *Experiment {
 	for _, s := range sinks {
 		if s == nil {
@@ -230,46 +231,34 @@ func (e *Experiment) Run(ctx context.Context) (*Report, error) {
 // identically-configured experiment. Records are matched to cells by
 // (protocol name, FixSize-adjusted n, trial index); every non-skipped cell
 // must be fully covered or an error is returned, so a partial artifact
-// cannot silently render as an all-failures report. Because Run aggregates
-// through exactly this sink, the rebuilt Report — and its rendered bytes —
-// is byte-identical to the one the original Run returned, including Metric
-// tables (metrics reduce record observables, which the records carry).
+// cannot silently render as an all-failures report. Records outside the
+// matrix are ignored. Because Run aggregates through exactly this sink,
+// the rebuilt Report — and its rendered bytes — is byte-identical to the
+// one the original Run returned, including Metric tables (metrics reduce
+// record observables, which the records carry).
 func (e *Experiment) ReportFromRecords(recs []TrialRecord) (*Report, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	type cellKey struct {
-		proto string
-		n     int
-		trial int
-	}
-	byKey := make(map[cellKey]TrialRecord, len(recs))
+	byKey := make(map[trialKey]TrialRecord, len(recs))
 	for _, rec := range recs {
-		byKey[cellKey{rec.Protocol, rec.N, rec.Trial}] = rec
+		byKey[trialKey{rec.Protocol, rec.N, rec.Trial}] = rec
 	}
 	rs := newReportSink(e)
-	for _, p := range e.protocols {
-		info := p.Info()
-		rs.beginRow(p, info)
-		for _, rawN := range e.sizes {
-			n := p.FixSize(rawN)
-			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
-				rs.skipCell(n)
-				continue
+	err := e.walk(rs, func(_ Protocol, info ProtocolInfo, n int) error {
+		for t := 0; t < e.trials; t++ {
+			rec, ok := byKey[trialKey{info.Name, n, t}]
+			if !ok {
+				return fmt.Errorf("repro: records missing trial %d of cell (%s, n=%d)", t, info.Name, n)
 			}
-			rs.beginCell(n)
-			for t := 0; t < e.trials; t++ {
-				rec, ok := byKey[cellKey{info.Name, n, t}]
-				if !ok {
-					return nil, fmt.Errorf("repro: records missing trial %d of cell (%s, n=%d)", t, info.Name, n)
-				}
-				if err := rs.Record(rec); err != nil {
-					return nil, err
-				}
+			if err := rs.Record(rec); err != nil {
+				return err
 			}
-			rs.endCell()
 		}
-		rs.endRow()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rs.rep, nil
 }
@@ -309,11 +298,33 @@ func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 			err = cerr
 		}
 	}()
+	return e.walk(rs, func(p Protocol, info ProtocolInfo, n int) error {
+		opts := runner.Options{Workers: e.workers}
+		if e.observer != nil {
+			obs := e.observer
+			opts.Progress = func(done, total int) {
+				obs(Progress{Protocol: info.Name, N: n, Done: done, Trials: total})
+			}
+		}
+		return runTrials(ctx, p, e.scenario, n, 0, e.trials, opts, e.probe, ss)
+	})
+}
 
-	// The probed path costs a per-trial record; the legacy path is kept
-	// bit-for-bit as the hot default when nobody is observing.
-	probed := rs == nil || len(e.sinks) > 0 || len(e.metrics) > 0 || e.probe != nil
+// trialKey addresses one trial of the matrix as its record does.
+type trialKey struct {
+	proto string
+	n     int
+	trial int
+}
 
+// walk visits the matrix in canonical order — protocol rows, then sizes,
+// FixSize applied — calling cell for every runnable cell. Cells above a
+// MaxSizeFor cap are skipped. A non-nil rs gets the row and cell
+// boundaries; a skipped cell becomes an empty placeholder there, which
+// keeps cells positionally aligned with Sizes so renderers never
+// attribute a cell to the wrong size row. Two sizes that FixSize to the
+// same n are two cells, visited twice.
+func (e *Experiment) walk(rs *reportSink, cell func(p Protocol, info ProtocolInfo, n int) error) error {
 	for _, p := range e.protocols {
 		info := p.Info()
 		if rs != nil {
@@ -323,15 +334,18 @@ func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 			n := p.FixSize(rawN)
 			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
 				if rs != nil {
-					// An empty placeholder keeps cells positionally aligned
-					// with Sizes, so renderers never attribute a cell to the
-					// wrong size row.
 					rs.skipCell(n)
 				}
 				continue
 			}
-			if err := e.runCell(ctx, p, info, n, probed, ss, rs); err != nil {
+			if rs != nil {
+				rs.beginCell(n)
+			}
+			if err := cell(p, info, n); err != nil {
 				return err
+			}
+			if rs != nil {
+				rs.endCell()
 			}
 		}
 		if rs != nil {
@@ -341,65 +355,63 @@ func (e *Experiment) execute(ctx context.Context, rs *reportSink) (err error) {
 	return nil
 }
 
-// runCell fans the trials of one (protocol, size) cell out through the
-// worker pool, streaming each record to the sinks as it completes.
-func (e *Experiment) runCell(ctx context.Context, p Protocol, info ProtocolInfo, n int, probed bool, ss *sinkSet, rs *reportSink) error {
-	if rs != nil {
-		rs.beginCell(n)
-	}
-	opts := runner.Options{Workers: e.workers}
-	if e.observer != nil {
-		obs := e.observer
-		opts.Progress = func(done, total int) {
-			obs(Progress{Protocol: info.Name, N: n, Done: done, Trials: total})
-		}
-	}
-	sc := e.scenario
-	ferr := runner.ForEach(ctx, e.trials, func(t int) {
-		seed := TrialSeed(n, t)
-		var rec TrialRecord
-		if probed {
-			rp := &RecordingProbe{}
-			var probe Probe = rp
-			if e.probe != nil {
-				if extra := e.probe(); extra != nil {
-					probe = Probes(rp, extra)
-				}
-			}
-			if _, err := ProbeTrial(p, sc, n, seed, probe); err != nil {
-				ss.fail(err)
-				return
-			}
-			rec = rp.Record()
-		} else {
-			res, err := p.Trial(sc, n, seed)
-			if err != nil {
-				ss.fail(err)
-				return
-			}
-			rec = TrialRecord{
-				Protocol: info.Name, N: res.N, Seed: res.Seed,
-				Steps: res.Steps, Stabilized: res.Stabilized, Converged: res.Converged,
+// runTrials is the only copy of the per-trial body: it fans trials
+// [lo, hi) of the (p, n) cell out through the worker pool, runs each
+// under a RecordingProbe (plus a probe from the factory, when one is
+// installed) with seed TrialSeed(n, t), and streams the record to ss as
+// the trial completes.
+func runTrials(ctx context.Context, p Protocol, sc Scenario, n, lo, hi int, opts runner.Options, probe func() Probe, ss *sinkSet) error {
+	err := runner.ForEach(ctx, hi-lo, func(i int) {
+		t := lo + i
+		rp := &RecordingProbe{}
+		var pr Probe = rp
+		if probe != nil {
+			if extra := probe(); extra != nil {
+				pr = Probes(rp, extra)
 			}
 		}
+		if _, err := ProbeTrial(p, sc, n, TrialSeed(n, t), pr); err != nil {
+			ss.fail(err)
+			return
+		}
+		rec := rp.Record()
 		rec.Trial = t
 		ss.record(rec)
 	}, opts)
-	if ferr != nil {
-		return ferr
-	}
-	if err := ss.firstErr(); err != nil {
+	if err != nil {
 		return err
 	}
-	if rs != nil {
-		rs.endCell()
+	return ss.firstErr()
+}
+
+// RunCell runs trials [lo, hi) of the (p, n) cell under sc on up to
+// workers goroutines (0 selects one per core) and returns the
+// WriteTrialRecords bytes of their records in trial order: the records
+// Run and Stream deliver for those trials, as a pure function of
+// (p, sc, n, lo, hi) whatever the worker count. n is used as given
+// (apply FixSize first).
+func RunCell(ctx context.Context, p Protocol, sc Scenario, n, lo, hi, workers int) ([]byte, error) {
+	if lo < 0 || hi <= lo {
+		return nil, fmt.Errorf("repro: RunCell needs a non-empty trial range, got [%d,%d)", lo, hi)
 	}
-	return nil
+	recs := make([]TrialRecord, hi-lo)
+	slots := sinkFunc(func(rec TrialRecord) error {
+		recs[rec.Trial-lo] = rec
+		return nil
+	})
+	if err := runTrials(ctx, p, sc, n, lo, hi, runner.Options{Workers: workers}, nil, &sinkSet{sinks: []Sink{slots}}); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := WriteTrialRecords(&buf, recs); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // reportSink is the in-memory aggregation as a Sink: it routes each record
 // into its cell slot by Trial index and, at cell/row boundaries driven by
-// execute, reduces them to the summaries, metric values and exponent fits
+// walk, reduces them to the summaries, metric values and exponent fits
 // of the Report — exactly the aggregation the pre-streaming Experiment
 // did, so reports stay byte-identical.
 type reportSink struct {

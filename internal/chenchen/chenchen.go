@@ -5,8 +5,7 @@
 //
 // The original detects the absence of a leader by searching the ring for a
 // cube www, which the cube-free Thue–Morse prefix embedded from a
-// surviving leader makes impossible (see internal/thuemorse for the
-// substrate and its structural facts). Implementing that search with O(1)
+// surviving leader makes impossible. Implementing that search with O(1)
 // states and no oracle is the core of [11] and the source of its
 // super-exponential running time.
 //

@@ -393,7 +393,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 // canonicalShardBytes decodes an uploaded shard body (gzip-sniffed) and
 // re-serializes it canonically — trial order, compact JSON — after
 // validating every record sits in the shard's range with the shard's
-// protocol and size, and that the range is fully covered.
+// protocol and size, and that the range is covered exactly once.
 func canonicalShardBytes(sh Shard, display string, body io.Reader) ([]byte, error) {
 	col := plan.NewCollector(sh.Lo, sh.Hi)
 	err := repro.DecodeTrialRecords(body, func(rec repro.TrialRecord) error {

@@ -276,6 +276,35 @@ func TestConflictingCompletionFailsSweep(t *testing.T) {
 	}
 }
 
+// TestDuplicateTrialUploadIs400: an upload carrying one trial twice is
+// malformed, whichever copy would have won — 400, and the shard stays
+// open for a well-formed completion.
+func TestDuplicateTrialUploadIs400(t *testing.T) {
+	c, ts := newCoordinator(t, t.TempDir(), newFakeClock().Now, time.Minute)
+
+	l1 := lease(t, ts.URL, "w1")
+	data := runShard(t, l1)
+	recs, err := repro.ReadTrialRecords(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	twin := recs[0]
+	twin.Steps += 17
+	var dup bytes.Buffer
+	if err := repro.WriteTrialRecords(&dup, append(recs, twin)); err != nil {
+		t.Fatalf("write duplicate: %v", err)
+	}
+	if code := complete(t, ts.URL, l1.LeaseID, dup.Bytes()); code != http.StatusBadRequest {
+		t.Fatalf("duplicate-trial complete = %d, want 400", code)
+	}
+	if st := c.Stats(); st.Shards.Done != 0 || c.Err() != nil {
+		t.Fatalf("rejected upload changed the sweep: shards %+v, err %v", st.Shards, c.Err())
+	}
+	if code := complete(t, ts.URL, l1.LeaseID, data); code != http.StatusOK {
+		t.Fatalf("well-formed complete = %d, want 200", code)
+	}
+}
+
 // TestCoordinatorKillResume: complete part of the sweep, tear the
 // coordinator down (its only persistent state is the checkpoint, which
 // is fsynced per completion — indistinguishable from a kill), and boot

@@ -14,8 +14,6 @@ import (
 
 	"repro"
 	"repro/internal/chaos"
-	"repro/internal/plan"
-	"repro/internal/runner"
 )
 
 // ErrCoordinatorUnreachable marks a worker that gave up because the
@@ -242,54 +240,18 @@ func postRenew(ctx context.Context, cfg WorkerConfig, leaseID string) (gone bool
 	return gone
 }
 
-// RunShard executes one shard's trial range through the engine,
-// returning the canonical record bytes — exactly the bytes the
-// Experiment's probed path produces for those trials, re-serialized in
-// trial order. Seeds are repro.TrialSeed(n, t) as everywhere else, so
-// the bytes are a pure function of the shard, whatever worker runs it
-// and at whatever parallelism.
+// RunShard executes one shard's trial range through repro.RunCell,
+// returning the canonical record bytes — the bytes Experiment.Run and a
+// service cold run record for those trials, in trial order. Seeds are
+// repro.TrialSeed(n, t) as everywhere else, so the bytes are a pure
+// function of the shard, whatever worker runs it and at whatever
+// parallelism.
 func RunShard(ctx context.Context, sh Shard, sc repro.Scenario, workers int) ([]byte, error) {
 	p, err := repro.NewProtocol(sh.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	if sh.Hi <= sh.Lo {
-		return nil, fmt.Errorf("fabric: shard %s has empty trial range [%d,%d)", sh.ID, sh.Lo, sh.Hi)
-	}
-	col := plan.NewCollector(sh.Lo, sh.Hi)
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	ferr := runner.ForEach(ctx, sh.Trials(), func(i int) {
-		t := sh.Lo + i
-		seed := repro.TrialSeed(sh.N, t)
-		// Mirror Experiment.runCell's probed path bit for bit: the
-		// recording probe distills the same observables a service or
-		// library run records, so shard bytes equal cell-slice bytes.
-		rp := &repro.RecordingProbe{}
-		if _, err := repro.ProbeTrial(p, sc, sh.N, seed, rp); err != nil {
-			fail(err)
-			return
-		}
-		rec := rp.Record()
-		rec.Trial = t
-		if err := col.Record(rec); err != nil {
-			fail(err)
-		}
-	}, runner.Options{Workers: workers})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return col.Encode()
+	return repro.RunCell(ctx, p, sc, sh.N, sh.Lo, sh.Hi, workers)
 }
 
 // postLease asks the coordinator for work through the retry policy:

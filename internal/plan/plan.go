@@ -137,10 +137,9 @@ func (s Spec) Digest(extra string) (string, error) {
 
 // Cell is one (protocol, size) cell of a planned sweep, in deterministic
 // execution order: protocol row order, then size order — exactly the
-// order Experiment.execute visits cells, which is what makes the
-// concatenated record stream byte-identical to a library run's sink
-// stream (modulo completion-order: serving tiers re-serialize each cell
-// in trial order).
+// order Experiment.Run visits cells. Each cell's bytes come from
+// repro.RunCell in trial order, so the concatenated stream is
+// byte-identical to a library run's sink stream at Workers(1).
 type Cell struct {
 	Protocol string
 	RawN     int
@@ -190,18 +189,21 @@ func CellDigest(protocol string, scenarioJSON []byte, n, trials int) string {
 }
 
 // Collector buffers the records of one trial range [lo, hi) by trial
-// index; records arrive in completion order from a worker pool, Encode
-// re-serializes them in trial order — the canonical byte form every
-// serving tier ships and compares.
+// index, accepting them in any order, and Encode emits them in trial
+// order — the canonical byte form every serving tier ships and compares.
+// The fabric coordinator re-canonicalizes shard uploads through it, so a
+// second record for a trial it already holds is an error, never a silent
+// overwrite.
 type Collector struct {
 	lo   int
 	mu   sync.Mutex
-	recs []*repro.TrialRecord
+	recs []repro.TrialRecord
+	have []bool
 }
 
 // NewCollector returns a collector for trials [lo, hi).
 func NewCollector(lo, hi int) *Collector {
-	return &Collector{lo: lo, recs: make([]*repro.TrialRecord, hi-lo)}
+	return &Collector{lo: lo, recs: make([]repro.TrialRecord, hi-lo), have: make([]bool, hi-lo)}
 }
 
 // Record implements repro.Sink.
@@ -212,31 +214,32 @@ func (c *Collector) Record(rec repro.TrialRecord) error {
 	if i < 0 || i >= len(c.recs) {
 		return fmt.Errorf("record trial %d out of range [%d,%d)", rec.Trial, c.lo, c.lo+len(c.recs))
 	}
-	c.recs[i] = &rec
+	if c.have[i] {
+		return fmt.Errorf("duplicate record for trial %d", rec.Trial)
+	}
+	c.recs[i], c.have[i] = rec, true
 	return nil
 }
 
 // Close implements repro.Sink.
 func (c *Collector) Close() error { return nil }
 
-// Encode emits the canonical JSONL bytes of the range: trial order, one
-// compact JSON object per line. json.Marshal sorts map keys, so the
-// bytes are a pure function of the records — the property both the
-// content-addressed cache and the fabric's byte-identical merge lean on.
+// Encode emits the canonical JSONL bytes of the range through
+// repro.WriteTrialRecords: trial order, one compact JSON object per line.
+// json.Marshal sorts map keys, so the bytes are a pure function of the
+// records — the property both the content-addressed cache and the
+// fabric's byte-identical merge lean on.
 func (c *Collector) Encode() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var buf bytes.Buffer
-	for i, rec := range c.recs {
-		if rec == nil {
+	for i, ok := range c.have {
+		if !ok {
 			return nil, fmt.Errorf("trial %d finished without a record", c.lo+i)
 		}
-		data, err := json.Marshal(rec)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
+	}
+	var buf bytes.Buffer
+	if err := repro.WriteTrialRecords(&buf, c.recs); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }

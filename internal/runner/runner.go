@@ -97,9 +97,11 @@ func Map[T any](ctx context.Context, total int, fn func(i int) T, opts Options) 
 	run := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
+				// Stop the other workers before the slow stack capture,
+				// so they do not drain the remaining items meanwhile.
+				failed.Store(true)
 				stack := make([]byte, 64<<10)
 				stack = stack[:runtime.Stack(stack, false)]
-				failed.Store(true)
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = &PanicError{Index: i, Value: v, Stack: stack}

@@ -96,6 +96,10 @@ func TestMapPanicAbandonsRemainingItems(t *testing.T) {
 		if i == 0 {
 			panic("early")
 		}
+		// Real trials take time; ~10µs each keeps the healthy worker from
+		// draining all items while the panicking one unwinds.
+		for start := time.Now(); time.Since(start) < 10*time.Microsecond; {
+		}
 		return i
 	}, Options{Workers: 2})
 	if err == nil {

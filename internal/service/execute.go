@@ -14,7 +14,7 @@ import (
 // concatenated JSONL stream is byte-identical however the cells were
 // satisfied (cold run, memory hit, disk hit) and whatever the worker
 // count. Each cell is looked up in the content-addressed cache first;
-// misses run through the Experiment streaming path and are stored back.
+// misses run through repro.RunCell and are stored back.
 //
 // When an artifacts directory is configured, the job's full record stream
 // is additionally written through a rotating gzip JSONLSink — the
@@ -79,24 +79,14 @@ func (s *Server) runCells(j *Job) error {
 	return nil
 }
 
-// runCell executes one cold cell through the Experiment streaming path
-// and encodes its records canonically via the shared plan.Collector:
-// trial order, one compact JSON object per line. json.Marshal sorts map
-// keys, so the bytes are a pure function of the records — the property
-// the content-addressed cache (and the fabric's byte-identical merge)
-// leans on.
+// runCell executes one cold cell through repro.RunCell, the executor the
+// library and the fabric share, so its bytes are the cell's canonical
+// trial-order JSONL — the bytes the content-addressed cache (and the
+// fabric's byte-identical merge) lean on.
 func (s *Server) runCell(j *Job, cell cellPlan) ([]byte, error) {
-	col := plan.NewCollector(0, j.Spec.Trials)
-	err := repro.NewExperiment().
-		ProtocolNames(cell.Protocol).
-		Sizes(cell.RawN).
-		Trials(j.Spec.Trials).
-		Scenario(j.Spec.Scenario).
-		Workers(s.cfg.TrialWorkers).
-		Sinks(col).
-		Stream(j.ctx)
+	p, err := repro.NewProtocol(cell.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	return col.Encode()
+	return repro.RunCell(j.ctx, p, j.Spec.Scenario, cell.N, 0, j.Spec.Trials, s.cfg.TrialWorkers)
 }

@@ -1,8 +1,9 @@
 // Package service is the experiment service: a long-running HTTP server
 // exposing the repro Experiment API. Clients POST a JSON job spec
 // (protocols × sizes × scenario × trials × metrics); a bounded worker-pool
-// queue executes the job's cells through the existing Experiment streaming
-// path; results stream back as TrialRecord JSONL or rendered Reports.
+// queue executes the job's cells through repro.RunCell, the cell executor
+// behind Experiment.Run; results stream back as TrialRecord JSONL or
+// rendered Reports.
 //
 // The scaling lever is determinism: every (protocol, scenario, n, seed)
 // cell is a pure function of its inputs, so finished cells are

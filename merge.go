@@ -12,11 +12,12 @@ import (
 // trials — into the experiment's canonical record order: protocol row
 // order, then size order, then trial order; exactly the stream a
 // single-process Experiment.Run emits through a sink at Workers(1), and
-// the order ReportFromRecords replays. This is the merge half of the
-// distributed sweep fabric: because every trial is a pure function of
-// (protocol, scenario, n, trial), shard boundaries and shard placement
-// carry no information, and the merged stream — and the Report built
-// from it — is byte-identical to the serial run's.
+// the order ReportFromRecords replays. A cell that two requested sizes
+// FixSize onto appears once per size, as it does in Run. This is the
+// merge half of the distributed sweep fabric: because every trial is a
+// pure function of (protocol, scenario, n, trial), shard boundaries and
+// shard placement carry no information, and the merged stream — and the
+// Report built from it — is byte-identical to the serial run's.
 //
 // Coverage is verified: every non-skipped cell must be fully present or
 // an error is returned, so a partial shard set cannot silently merge
@@ -29,40 +30,26 @@ func MergeShards(e *Experiment, shards ...io.Reader) ([]TrialRecord, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	type cellKey struct {
-		proto string
-		n     int
-		trial int
+	type shardRecord struct {
+		rec   TrialRecord
+		canon []byte
 	}
-	// The canonical slot order, built exactly as execute visits cells.
-	var order []cellKey
-	slot := make(map[cellKey]int)
-	for _, p := range e.protocols {
-		info := p.Info()
-		for _, rawN := range e.sizes {
-			n := p.FixSize(rawN)
-			if cap, capped := e.caps[info.Name]; capped && rawN > cap {
-				continue // skipped cells produce no records
-			}
-			for t := 0; t < e.trials; t++ {
-				k := cellKey{info.Name, n, t}
-				if _, dup := slot[k]; dup {
-					// Two requested sizes FixSize-ing to the same n share
-					// records; the first occurrence owns the slot, as in Run.
-					continue
-				}
-				slot[k] = len(order)
-				order = append(order, k)
-			}
+	// One slot per walked trial; got holds nil until a shard delivers it.
+	var order []trialKey
+	got := make(map[trialKey]*shardRecord)
+	e.walk(nil, func(_ Protocol, info ProtocolInfo, n int) error {
+		for t := 0; t < e.trials; t++ {
+			k := trialKey{info.Name, n, t}
+			order = append(order, k)
+			got[k] = nil
 		}
-	}
+		return nil
+	})
 
-	out := make([]*TrialRecord, len(order))
-	canon := make([][]byte, len(order))
 	for si, r := range shards {
 		err := DecodeTrialRecords(r, func(rec TrialRecord) error {
-			k := cellKey{rec.Protocol, rec.N, rec.Trial}
-			i, ok := slot[k]
+			k := trialKey{rec.Protocol, rec.N, rec.Trial}
+			have, ok := got[k]
 			if !ok {
 				return fmt.Errorf("repro: shard %d: record (%s, n=%d, trial %d) is outside the experiment's matrix", si, rec.Protocol, rec.N, rec.Trial)
 			}
@@ -70,15 +57,13 @@ func MergeShards(e *Experiment, shards ...io.Reader) ([]TrialRecord, error) {
 			if err != nil {
 				return err
 			}
-			if out[i] != nil {
-				if !bytes.Equal(canon[i], data) {
+			if have != nil {
+				if !bytes.Equal(have.canon, data) {
 					return fmt.Errorf("repro: shard %d: conflicting duplicate for (%s, n=%d, trial %d) — determinism violation", si, rec.Protocol, rec.N, rec.Trial)
 				}
 				return nil // identical duplicate: a straggler's late copy
 			}
-			rc := rec
-			out[i] = &rc
-			canon[i] = data
+			got[k] = &shardRecord{rec, data}
 			return nil
 		})
 		if err != nil {
@@ -87,12 +72,12 @@ func MergeShards(e *Experiment, shards ...io.Reader) ([]TrialRecord, error) {
 	}
 
 	merged := make([]TrialRecord, len(order))
-	for i, rec := range out {
-		if rec == nil {
-			k := order[i]
+	for i, k := range order {
+		have := got[k]
+		if have == nil {
 			return nil, fmt.Errorf("repro: shards missing trial %d of cell (%s, n=%d)", k.trial, k.proto, k.n)
 		}
-		merged[i] = *rec
+		merged[i] = have.rec
 	}
 	return merged, nil
 }

@@ -38,12 +38,6 @@ func serialStream(t *testing.T) ([]byte, []TrialRecord) {
 	return buf.Bytes(), recs
 }
 
-// sinkFunc adapts a function to the Sink interface.
-type sinkFunc func(rec TrialRecord) error
-
-func (f sinkFunc) Record(rec TrialRecord) error { return f(rec) }
-func (f sinkFunc) Close() error                 { return nil }
-
 func TestMergeShardsByteIdenticalToSerial(t *testing.T) {
 	serial, recs := serialStream(t)
 

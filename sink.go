@@ -207,6 +207,12 @@ func ReadTrialRecords(r io.Reader) ([]TrialRecord, error) {
 	return out, err
 }
 
+// sinkFunc adapts a record function to a Sink whose Close does nothing.
+type sinkFunc func(TrialRecord) error
+
+func (f sinkFunc) Record(rec TrialRecord) error { return f(rec) }
+func (sinkFunc) Close() error                   { return nil }
+
 // sinkSet fans records out to every attached sink under one mutex — the
 // serialization half of the Sink contract — and captures the first error
 // (a failing sink or a failing trial).

@@ -66,7 +66,7 @@ func TestSinkReceivesEveryTrial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pj, sj) {
-		t.Fatalf("report with sinks diverged from legacy path:\n%s\nvs\n%s", pj, sj)
+		t.Fatalf("report with sinks diverged from the sink-less run:\n%s\nvs\n%s", pj, sj)
 	}
 
 	// 3 executed cells (yokota capped to n=8) × 3 trials.
