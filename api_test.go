@@ -163,6 +163,40 @@ func TestExperimentBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestRingSizeBelowTwoIsAnError pins size validation for every built-in
+// protocol: an Experiment whose sizes FixSize below two agents fails
+// validation, and a direct Trial on such a ring returns an error — neither
+// panics. orient bumps every size below 3 up to 3, so its experiments run.
+func TestRingSizeBelowTwoIsAnError(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range []string{"ppl", "orient", "yokota", "angluin", "fj", "chenchen"} {
+		p, err := repro.NewProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{-3, 0, 1} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s n=%d: panicked: %v", name, n, r)
+					}
+				}()
+				_, err := repro.NewExperiment().ProtocolNames(name).Sizes(n).Trials(1).Run(ctx)
+				if name == "orient" {
+					if err != nil {
+						t.Errorf("orient n=%d: %v", n, err)
+					}
+				} else if err == nil {
+					t.Errorf("%s n=%d: experiment ran", name, n)
+				}
+				if _, err := p.Trial(repro.Scenario{}, n, 1); err == nil {
+					t.Errorf("%s n=%d: trial ran", name, n)
+				}
+			}()
+		}
+	}
+}
+
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

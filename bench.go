@@ -27,12 +27,11 @@ const (
 	// one-time fill cost is measured separately by BenchLanes, amortized
 	// across a batch exactly as sweeps pay it.
 	BenchInterned BenchMode = "interned"
-	// BenchLanes measures a batch of same-cell trials run as lockstep
-	// structure-of-arrays lanes over one shared transition-table set
-	// (LaneTrials): per-trial results are bit-identical to BenchInterned,
-	// but the table fills and state interning amortize across the batch.
-	// Steps and steps/sec aggregate the whole batch; Lanes records the
-	// batch width.
+	// BenchLanes measures a batch of same-cell trials sharing one
+	// transition-table set, run back to back (LaneTrials): per-trial
+	// results are bit-identical to BenchInterned, but the table fills and
+	// state interning amortize across the batch. Steps and steps/sec
+	// aggregate the whole batch; Lanes records the batch width.
 	BenchLanes BenchMode = "lanes"
 )
 
@@ -65,8 +64,8 @@ type BenchResult struct {
 	// capacity cap was exceeded and the run completed on the generic path
 	// (P_PL at large n); absent for every other mode.
 	Fallback bool `json:"fallback,omitempty"`
-	// Lanes is the lockstep batch width of a BenchLanes row; absent for
-	// every other mode.
+	// Lanes is the number of trials a BenchLanes row ran over its shared
+	// table set; absent for every other mode.
 	Lanes int `json:"lanes,omitempty"`
 }
 
@@ -101,10 +100,11 @@ type benchRunner interface {
 }
 
 // engineProtocol is the engine-level surface every built-in protocol
-// (ringProtocol) adds to the public Protocol contract: lockstep lanes, a
-// fresh unrun trial engine so RunBenchmark can time the run phase alone,
-// and a pair of trial engines for one cell over ONE shared table set. The
-// interned mode uses the pair — the first runner is an untimed warmup
+// (ringProtocol) adds to the public Protocol contract: same-cell trials
+// sharing one table set, run back to back (LaneTrials), a fresh unrun
+// trial engine so RunBenchmark can time the run phase alone, and a pair
+// of trial engines for one cell over ONE shared table set. The interned
+// mode uses the pair — the first runner is an untimed warmup
 // that fills the state interner and pair tables, the second re-runs the
 // identical trajectory through the warm tables — so the timed region
 // measures the steady-state table-lookup throughput the mode is named for
@@ -196,8 +196,8 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 }
 
 // RunBenchmarkLanes executes one BenchLanes measurement: k same-cell trials
-// with seeds seed, seed+stride, … run as lockstep lanes over one shared
-// table set. The timed region is the whole LaneTrials call — table
+// with seeds seed, seed+stride, … sharing one table set, run back to back.
+// The timed region is the whole LaneTrials call — table
 // construction included, since amortizing that construction across the
 // batch is exactly what the mode exists to measure. Steps sums the batch;
 // Converged reports whether every lane hit its predicate.

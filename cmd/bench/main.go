@@ -3,9 +3,9 @@
 // ring size × scenario cell, in four engine modes — the raw RunBatch
 // transition loop (no convergence judgement), the incremental-tracker run
 // to convergence, the interned table-lookup run (the trial default), and
-// the "lanes" mode — a batch of -lanes same-cell trials run as lockstep
-// lanes over one shared transition-table set, whose steps/sec aggregates
-// the batch — plus a "recovery" mode that
+// the "lanes" mode — a batch of -lanes same-cell trials sharing one
+// transition-table set, run back to back, whose steps/sec aggregates the
+// batch — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills

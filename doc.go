@@ -198,9 +198,9 @@
 // key/value words, fronted by a small direct-mapped cache and a software
 // prefetch of the next pair's lookup line — when it grows; the
 // interner's default capacity cap is the full ID space (a memory
-// backstop, adjustable via Scenario.MaxStates); and LaneTrials runs a
-// batch of same-cell trials as lockstep lanes over one shared table set
-// so minting and table fills amortize across the batch.
+// backstop, adjustable via Scenario.MaxStates); and LaneTrials runs
+// same-cell trials sharing one table set, run back to back, so minting
+// and table fills amortize across the batch.
 //
 // The layer is a pure accelerator: the RNG stream, step counts, leader
 // accounting, hitting times and probe event streams are bit-identical to
@@ -223,8 +223,8 @@
 // (the trial default: the table-lookup layer timed steady-state against
 // tables pre-filled by an untimed warmup run with the reuse guard
 // suspended — warm tables no user path runs — with its Fallback flag
-// recorded per row) and "lanes" (a batch of same-cell trials as lockstep
-// lanes over one shared table set — the cold fill paid once, amortized).
+// recorded per row) and "lanes" (same-cell trials sharing one table set,
+// run back to back — the cold fill paid once, amortized).
 // cmd/bench additionally measures "recovery" rows —
 // exact steps from a deterministic mid-run fault burst back to
 // convergence — and "eclipse" rows — exact steps from a deterministic

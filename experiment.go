@@ -175,8 +175,9 @@ func (e *Experiment) fail(err error) {
 	}
 }
 
-// Validate surfaces builder misuse — no protocols or sizes, a bad trial
-// count, malformed metrics, a scenario a protocol rejects — without
+// Validate surfaces builder misuse — no protocols or sizes, a size a
+// protocol cannot run even after FixSize (rings need 2 agents), a bad
+// trial count, malformed metrics, a scenario a protocol rejects — without
 // running anything. Run, Stream and ReportFromRecords all call it first;
 // it is exported for callers (the experiment service, say) that must
 // reject a bad configuration before queueing it.
@@ -204,6 +205,11 @@ func (e *Experiment) validate() error {
 	for _, p := range e.protocols {
 		if err := p.Validate(e.scenario); err != nil {
 			return err
+		}
+		for _, rawN := range e.sizes {
+			if n := p.FixSize(rawN); n < 2 {
+				return fmt.Errorf("repro: %s needs a ring of at least 2 agents, got size %d", p.Info().Name, rawN)
+			}
 		}
 	}
 	return nil

@@ -187,11 +187,12 @@ func (p Params) attachMeta(spec *population.RingSpec[State]) {
 // instance memoizes the segment pair its last failure witnessed (hintK,
 // hintJ): when the verdict is re-evaluated at the same head and that pair
 // still fails, the O(n) chain walk collapses to an O(ψ) re-check. The hint
-// is purely advisory — a stale or cross-lane-polluted hint costs one wasted
-// pair check before the full scan — so lockstep lanes sharing one spec
-// instance interleave safely. A hint hit may witness a later failing pair
-// than the full scan's first one; both pin genuinely failing checks, which
-// is all the witness cache requires (see the ResidualMeta contract).
+// is purely advisory — a stale hint left by another trial costs one wasted
+// pair check before the full scan — so the many trials one spec instance
+// serves (same-cell trials sharing one table set, run back to back) stay
+// exact. A hint hit may witness a later failing pair than the full scan's
+// first one; both pin genuinely failing checks, which is all the witness
+// cache requires (see the ResidualMeta contract).
 func (p Params) metaResidual() func(*population.LocalCounts, []uint64) (bool, population.Witness) {
 	hintK, hintJ := -1, -1
 	return func(c *population.LocalCounts, meta []uint64) (bool, population.Witness) {

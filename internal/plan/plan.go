@@ -97,9 +97,9 @@ func (s Spec) Experiment() *repro.Experiment {
 }
 
 // Validate rejects malformed specs before any work is queued, reusing
-// the Experiment's own validation (unknown protocols, empty matrix,
-// unsupported scenarios, bad metrics) so the serving tiers and the
-// library never disagree about what a runnable spec is.
+// the Experiment's own validation (unknown protocols, empty matrix, ring
+// sizes below 2, unsupported scenarios, bad metrics) so the serving tiers
+// and the library never disagree about what a runnable spec is.
 func (s Spec) Validate() error {
 	if len(s.Protocols) == 0 {
 		return fmt.Errorf("spec has no protocols")

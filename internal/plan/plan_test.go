@@ -2,6 +2,7 @@ package plan
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -72,4 +73,38 @@ func TestCollectorRejectsBadRanges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSpec feeds wire job specs through Validate: a spec Validate accepts
+// must expand into cells, and every cell that runs must hold a ring of at
+// least two agents. The seeds run under plain go test.
+func FuzzSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"protocols":["ppl"],"sizes":[1],"trials":1}`,
+		`{"protocols":["ppl","angluin"],"sizes":[8,16],"trials":2}`,
+		`{"protocols":["orient","yokota"],"sizes":[-3,0,2],"trials":1}`,
+		`{"protocols":["angluin"],"sizes":[0,1,8,9],"trials":3,"max_size":{"angluin":8}}`,
+		`{"protocols":["chenchen","fj"],"sizes":[8],"trials":1,"metrics":[{"observable":"steps","agg":"p90"}]}`,
+		`{"protocols":["ppl"],"sizes":[33],"trials":4,"scenario":{"faults":[{"at_step":500,"agents":3}],"scheduler":{"kind":"eclipse","period":100,"duration":10,"arcs":4,"churn":[{"at_step":50,"remove":2}]}}}`,
+		`{"protocols":["yokota"],"sizes":[16],"trials":1,"timeout_ms":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&s) != nil || s.Validate() != nil {
+			return
+		}
+		cells, err := s.Cells()
+		if err != nil {
+			t.Fatalf("Validate accepted %s but Cells failed: %v", data, err)
+		}
+		for _, c := range cells {
+			if !c.Skipped && c.N < 2 {
+				t.Fatalf("Validate accepted %s with a %d-agent %s cell (size %d)", data, c.N, c.Protocol, c.RawN)
+			}
+		}
+	})
 }

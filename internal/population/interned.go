@@ -18,9 +18,10 @@ import "math"
 // words instead of the configuration structs.
 //
 // All memoized state lives in a Tables value, which any number of engines
-// may share — the lockstep lanes of lanes.go run k same-cell trials
-// against one warm table set. Sharing is single-goroutine: a Tables must
-// only ever be touched from one goroutine at a time.
+// may share — same-cell trials sharing one table set, run back to back,
+// start from the fills of the trials before them. Sharing is
+// single-goroutine: a Tables must only ever be touched from one goroutine
+// at a time.
 //
 // The layer is a pure accelerator: arc draws use the same batched RNG
 // stream (including the engine's pending-draw buffer and any installed
@@ -50,14 +51,14 @@ type EnvSpec[S any] struct {
 	Key func() uint32
 	// Delta encodes the transition's effect on the environment's backing
 	// counters in at most 11 bits (the memo entry's spare field). It must
-	// be a pure function of the four states — this is what lets lockstep
-	// lanes share one table set across trials whose live counters differ.
+	// be a pure function of the four states — this is what lets same-cell
+	// trials share one table set although their live counters differ.
 	Delta func(lb, rb, la, ra S) uint32
 	// Apply applies an encoded delta to the backing counters.
 	Apply func(delta uint32)
 }
 
-// InternOptions tunes the interned layer's capacity caps.
+// InternOptions tunes the interned layer's capacity cap.
 type InternOptions struct {
 	// MaxStates caps the interner; once an execution needs more distinct
 	// states the engine permanently falls back to the generic path.
@@ -65,9 +66,6 @@ type InternOptions struct {
 	// rejected by NewTables (memo entries pack successor IDs into
 	// idBits-wide fields).
 	MaxStates int
-	// DenseStates caps the dense table tier; beyond it pair tables switch
-	// to hashing (see pairTable). 0 selects DefaultDenseStates.
-	DenseStates int
 }
 
 const (
@@ -75,21 +73,25 @@ const (
 	// memory backstop, not a reuse heuristic — tables grow lazily with the
 	// pairs actually seen, and runs that keep missing the tables are cut
 	// off by the reuse guard long before the cap matters. The full ceiling
-	// is the default because warm table sets genuinely use it: lockstep
-	// lanes sharing one table set push past 2^18 (a tighter historical
-	// default that silently felled lane batches back to the generic path).
-	// Callers can lower it through InternOptions or Scenario.MaxStates.
+	// is the default because warm table sets genuinely use it: same-cell
+	// trials sharing one table set, run back to back, push past 2^18 (a
+	// tighter historical default that silently felled lane batches back to
+	// the generic path). Callers can lower it through InternOptions or
+	// Scenario.MaxStates.
 	DefaultMaxStates = MaxInternStates
-	// DefaultDenseStates keeps the dense tier's stride² array at or below
-	// 512² entries (2 MiB) and its growth re-layouts cheap; past it pair
-	// tables migrate to the open-addressed hashed tier, whose memory
-	// tracks the pairs actually seen instead of the square of the state
-	// count.
-	DefaultDenseStates = 512
 	// MaxInternStates is the hard ceiling on InternOptions.MaxStates: memo
 	// entries address successor states in idBits-wide fields.
 	MaxInternStates = 1 << idBits
 )
+
+// defaultDenseStates keeps the dense tier's stride² array at or below 512²
+// entries (2 MiB) and its growth re-layouts cheap; past it pair tables
+// migrate to the open-addressed hashed tier, whose memory tracks the pairs
+// actually seen instead of the square of the state count. The tier is
+// A/B-measured against hashing every table behind its front cache: that
+// made each cold small-state table set allocate a 2 MiB front per
+// environment key, and lost on the bench gate cells.
+const defaultDenseStates = 512
 
 // Reuse guard: interning pays only when (state, state) pairs repeat — a
 // miss costs the transition PLUS the memoization. A run whose tables miss
@@ -136,26 +138,10 @@ const (
 	envDeltaMask    = 1<<11 - 1
 )
 
-// Accelerator is the state-type-free face of an InternedEngine, which is
-// what the protocol wiring stores next to its generic engine.
-type Accelerator interface {
-	// Run executes exactly steps scheduler steps (interned when possible).
-	Run(steps uint64)
-	// RunUntilConverged runs to the spec's convergence with exact hitting
-	// times, mirroring Engine.RunUntilConverged.
-	RunUntilConverged(maxSteps uint64) (uint64, bool)
-	// SampleCounts exports the named tracker channel counts, exactly as the
-	// generic RingTracker's CountSampler would.
-	SampleCounts(dst map[string]float64)
-	// Interned reports whether the layer is still interning (false once the
-	// capacity cap forced the generic fallback).
-	Interned() bool
-}
-
 // Tables is the shared, engine-independent half of the interned layer: the
 // state interner, the memoized per-key transition tables, and the per-ID
 // metadata (leader bits, agent masks, MetaID words). One Tables serves any
-// number of engines of the same protocol — the lockstep lanes share one —
+// number of engines of the same protocol — a cell's trials share one —
 // as long as all use is single-goroutine and every attached engine runs
 // the same transition, leader predicate and spec the tables were built
 // for.
@@ -171,8 +157,6 @@ type Tables[S comparable] struct {
 	leaderBit []bool   // per ID: isLeader
 	amask     []uint8  // per ID: RingSpec.AgentMask
 	rmeta     []uint64 // per ID: RingSpec.MetaID, when provided
-
-	denseStates int
 }
 
 // NewTables builds an empty table set for the spec. codec, when non-nil,
@@ -189,14 +173,10 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 	if opts.MaxStates > MaxInternStates {
 		panic("population: InternOptions.MaxStates exceeds MaxInternStates")
 	}
-	if opts.DenseStates <= 0 {
-		opts.DenseStates = DefaultDenseStates
-	}
 	t := &Tables[S]{
-		spec:        spec,
-		isLeader:    isLeader,
-		envKeys:     1,
-		denseStates: opts.DenseStates,
+		spec:     spec,
+		isLeader: isLeader,
+		envKeys:  1,
 	}
 	if env != nil {
 		if env.Keys < 1 || env.Delta == nil {
@@ -211,7 +191,7 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 	}
 	t.trans = make([]pairTable, t.envKeys)
 	for i := range t.trans {
-		t.trans[i] = newPairTable(opts.DenseStates)
+		t.trans[i] = newPairTable(defaultDenseStates)
 	}
 	return t
 }
@@ -253,7 +233,6 @@ func (t *Tables[S]) syncIDMeta() {
 type InternedEngine[S comparable] struct {
 	*Engine[S]
 	tab     *Tables[S]
-	shared  bool // tab is shared with other engines (lanes); fall must not free it
 	env     *EnvSpec[S]
 	generic ConvergenceTracker[S]
 
@@ -297,26 +276,17 @@ const (
 	stepFell           // capacity fallback; interaction executed generically
 )
 
-// NewInterned attaches a private interned layer to e: a fresh Tables built
-// from spec and env (no codec — callers with a PackedCodec build their
-// Tables explicitly and use AttachInterned), serving this one engine. spec
-// is the same RingSpec the generic tracker uses; generic is the tracker
-// installed on capacity fallback; env adapts oracle protocols and is nil
-// for pure pairwise transitions.
-func NewInterned[S comparable](e *Engine[S], spec RingSpec[S], env *EnvSpec[S], generic ConvergenceTracker[S], opts InternOptions) *InternedEngine[S] {
-	return AttachInterned(e, NewTables(spec, e.isLeader, nil, env, opts), env, generic)
-}
-
-// AttachInterned attaches the interned layer to e against an existing
-// (possibly shared, possibly warm) table set. env must agree with the one
-// the tables were built from: nil for pure pairwise transitions, else the
-// same Keys/Delta with this engine's live Key/Apply. When env is nil and
-// an observer is installed on e, every run delegates to the generic path —
-// observation means per-interaction dispatch the interned loop does not
-// do. When env is non-nil, the engine's observer is by contract the
-// env-counter maintainer and is replaced by EnvSpec.Apply on the interned
-// path. The engine's leader predicate must be the one the tables were
-// built with (per-ID leader bits are shared).
+// AttachInterned attaches the interned layer to e against a (possibly
+// shared, possibly warm) table set; generic is the tracker installed on
+// fallback. env must agree with the one the tables were built from: nil
+// for pure pairwise transitions, else the same Keys/Delta with this
+// engine's live Key/Apply. When env is nil and an observer is installed on
+// e, every run delegates to the generic path — observation means
+// per-interaction dispatch the interned loop does not do. When env is
+// non-nil, the engine's observer is by contract the env-counter maintainer
+// and is replaced by EnvSpec.Apply on the interned path. The engine's
+// leader predicate must be the one the tables were built with (per-ID
+// leader bits are shared).
 func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S], generic ConvergenceTracker[S]) *InternedEngine[S] {
 	if (env == nil) != (t.envDelta == nil) {
 		panic("population: AttachInterned env does not match the tables' EnvSpec")
@@ -332,17 +302,9 @@ func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S], g
 	return &InternedEngine[S]{Engine: e, tab: t, env: env, generic: generic, winLen: reuseWindowFor(e.topo.N)}
 }
 
-// Interned implements Accelerator.
+// Interned reports whether the layer is still interning (false once a
+// capacity or reuse fallback moved the engine to the generic path).
 func (g *InternedEngine[S]) Interned() bool { return !g.fellBack }
-
-// States returns the number of distinct states interned so far (0 after
-// fallback) — a diagnostic for tests and benchmarks.
-func (g *InternedEngine[S]) States() int {
-	if g.fellBack {
-		return 0
-	}
-	return g.tab.in.Len()
-}
 
 // prepare readies the interned path: leaders recounted, the ID mirror
 // rebuilt if states were installed since it was last valid. It reports
@@ -405,17 +367,15 @@ func (g *InternedEngine[S]) reintern() bool {
 }
 
 // fall abandons the interned layer permanently for this engine, releasing
-// its per-engine mirrors — and the tables too, unless they are shared with
-// other lanes that may still be interning.
+// its per-engine mirrors and its pointer to the tables; other engines
+// attached to the same Tables keep theirs.
 func (g *InternedEngine[S]) fall() {
 	g.fellBack = true
 	g.ids = nil
 	g.idsOK = false
 	g.arcBits, g.agentBits, g.ameta = nil, nil, nil
 	g.mirrorOK = false
-	if !g.shared {
-		g.tab = nil
-	}
+	g.tab = nil
 }
 
 // fill computes, interns and memoizes the transition of (idL, idR) under
@@ -746,9 +706,8 @@ func (g *InternedEngine[S]) convergedNow() bool {
 	return witnessVerdict(&g.wc, &t.spec, &g.counts, g.Engine.states)
 }
 
-// Run implements Accelerator: exactly steps scheduler steps, interned when
-// possible, with the identical RNG stream, state trajectory and accounting
-// of Engine.Run.
+// Run executes exactly steps scheduler steps, interned when possible, with
+// the identical RNG stream, state trajectory and accounting of Engine.Run.
 func (g *InternedEngine[S]) Run(steps uint64) {
 	if !g.prepare() {
 		// The generic engine advances states without the ID mirror seeing
@@ -764,44 +723,6 @@ func (g *InternedEngine[S]) Run(steps uint64) {
 	g.settle()
 	if rem > 0 {
 		g.Engine.Run(rem)
-	}
-}
-
-// Step executes one scheduler step through the memo tables — the interned
-// equivalent of Engine.Step, drawing from the same pending-buffer-first
-// arc stream. Runs that cannot intern (observers, stuck agents, fallback)
-// delegate to the generic step.
-func (g *InternedEngine[S]) Step() {
-	if !g.prepare() {
-		g.idsOK = false
-		g.Engine.Step()
-		return
-	}
-	g.mirrorOK = false
-	arc := g.Engine.topo.Arcs[g.Engine.drawArc()]
-	g.applyInterned(arc[0], arc[1], false)
-}
-
-// ApplyArc forces the interaction on arc k of the topology through the
-// memo tables — the interned equivalent of Engine.ApplyArc, for
-// deterministic-schedule tests and trajectory replays. The arc executes
-// generically when the layer cannot intern.
-func (g *InternedEngine[S]) ApplyArc(k int) {
-	if !g.prepare() {
-		g.idsOK = false
-		g.Engine.ApplyArc(k)
-		return
-	}
-	g.mirrorOK = false
-	arc := g.Engine.topo.Arcs[k]
-	g.applyInterned(arc[0], arc[1], false)
-}
-
-// ApplySchedule forces the given interactions in order through the memo
-// tables — the interned Engine.ApplySchedule.
-func (g *InternedEngine[S]) ApplySchedule(arcs []int) {
-	for _, k := range arcs {
-		g.ApplyArc(k)
 	}
 }
 
@@ -832,7 +753,7 @@ func (g *InternedEngine[S]) runSteps(steps uint64, mirror bool) uint64 {
 	return 0
 }
 
-// RunUntilConverged implements Accelerator, mirroring
+// RunUntilConverged runs to the spec's convergence, mirroring
 // Engine.RunUntilConverged: the verdict runs after every single step, so
 // hitting times are exact; on mid-batch convergence the remaining pre-drawn
 // arcs stay pending for later runs. No-op steps skip the verdict — an
@@ -894,9 +815,9 @@ func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
 	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
 }
 
-// SampleCounts implements Accelerator: named channel counts over the
-// current configuration, byte-identical to the generic RingTracker's
-// CountSampler output.
+// SampleCounts exports the named channel counts over the current
+// configuration, byte-identical to the generic RingTracker's CountSampler
+// output.
 func (g *InternedEngine[S]) SampleCounts(dst map[string]float64) {
 	if g.prepare() {
 		g.ensureMirror()

@@ -142,7 +142,7 @@ func newToyEngine(n int, seed uint64, trans Transition[uint16]) *Engine[uint16] 
 func newToyPairTrans(n int, seed uint64, cap int, trans Transition[uint16]) (*Engine[uint16], *InternedEngine[uint16]) {
 	gen := newToyEngine(n, seed, trans)
 	ie := newToyEngine(n, seed, trans)
-	acc := NewInterned(ie, toySpec(), nil, NewRingTracker(toySpec()), InternOptions{MaxStates: cap})
+	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, nil, InternOptions{MaxStates: cap}), nil, NewRingTracker(toySpec()))
 	return gen, acc
 }
 
@@ -259,6 +259,47 @@ func TestPrefillSuspendsGuard(t *testing.T) {
 	assertEnginesEqual(t, gen, replay.Engine, "after prefilled replay")
 }
 
+// TestSharedTablesSurviveFallback pins the sharing contract of Tables: an
+// engine that falls back drops only its own pointer to the tables, so a
+// second engine attached to the same Tables still reads the first one's
+// fills. The second engine replays the first's seed: it stays interned
+// through the window a cold run bails on, then falls back itself, and is
+// bit-identical to the generic engine throughout.
+func TestSharedTablesSurviveFallback(t *testing.T) {
+	const n, seed, steps = 16, 7, 10_000
+	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
+	attach := func() *InternedEngine[uint16] {
+		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil, NewRingTracker(toySpec()))
+	}
+	first := attach()
+	first.Run(steps)
+	if first.Interned() {
+		t.Fatal("the minting run did not trip the reuse guard")
+	}
+	minted := tab.States()
+	if minted <= n {
+		t.Fatalf("tables hold %d states after the first run; want its mints beyond the %d initial states", minted, n)
+	}
+
+	second := attach()
+	gen := newToyEngine(n, seed, toyTrans)
+	gen.SetTracker(NewRingTracker(toySpec()))
+	for _, budget := range []uint64{uint64(reuseWindowFor(n)), steps} {
+		genStep, genOK := gen.RunUntilConverged(budget)
+		step, ok := second.RunUntilConverged(budget)
+		if step != genStep || ok != genOK {
+			t.Fatalf("budget %d: second engine (%d, %v) vs generic (%d, %v)", budget, step, ok, genStep, genOK)
+		}
+		assertEnginesEqual(t, gen, second.Engine, "second engine over the shared tables")
+		if budget < steps && !second.Interned() {
+			t.Fatal("second engine missed the first engine's fills and bailed on its first window")
+		}
+	}
+	if tab.States() < minted {
+		t.Fatalf("tables shrank from %d to %d states", minted, tab.States())
+	}
+}
+
 // TestInternedSetStatesReinterns pins install handling: a SetStates (and a
 // SetState) between interned runs must re-intern the configuration and
 // keep the install-time leader-change recording identical to the generic
@@ -370,7 +411,7 @@ func TestInternedEnvFallbackKeepsCounters(t *testing.T) {
 		Apply: func(d uint32) { ieRu.even += int(d) - 2 },
 	}
 	// A cap of 40 forces the capacity fallback within the run.
-	acc := NewInterned(ie, toySpec(), env, NewRingTracker(toySpec()), InternOptions{MaxStates: 40})
+	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, env, InternOptions{MaxStates: 40}), env, NewRingTracker(toySpec()))
 	gen.Run(5000)
 	acc.Run(5000)
 	if acc.Interned() {

@@ -231,6 +231,7 @@ func TestBadSpecIs400(t *testing.T) {
 		"unknown protocol": `{"protocols":["nope"],"sizes":[8],"trials":1}`,
 		"no sizes":         `{"protocols":["ppl"],"sizes":[],"trials":1}`,
 		"zero trials":      `{"protocols":["ppl"],"sizes":[8],"trials":0}`,
+		"ring too small":   `{"protocols":["ppl"],"sizes":[1],"trials":1}`,
 		"unknown field":    `{"protocols":["ppl"],"sizes":[8],"trials":1,"bogus":true}`,
 		"bad metric":       `{"protocols":["ppl"],"sizes":[8],"trials":1,"metrics":[{"observable":"steps","agg":"exotic"}]}`,
 		"not json":         `{{{`,

@@ -4,15 +4,15 @@ import (
 	"testing"
 )
 
-// laneSeeds is the seed batch of the lane differential tests: enough lanes
-// to exercise lane scheduling beyond pairs, with a spread that converges
-// at different steps so the lane set's retirement path runs.
+// laneSeeds is the seed batch of the lane differential tests: enough
+// trials that later ones run over tables several earlier trials filled,
+// with a spread that converges at different steps.
 func laneSeeds() []uint64 { return []uint64{1, 2, 3, 5, 8, 13} }
 
-// assertLanesMatchSolo pins LaneTrials to the per-seed solo path: the
-// lockstep lanes are purely a throughput device, so every TrialResult —
+// assertLanesMatchSolo pins LaneTrials to the per-seed solo path: sharing
+// one table set is purely a throughput device, so every TrialResult —
 // steps, exact hitting time, stabilization step, convergence flag — must
-// be bit-identical to running each seed alone.
+// be bit-identical to running each seed alone over tables of its own.
 func assertLanesMatchSolo(t *testing.T, name string, sc Scenario, n int, seeds []uint64) {
 	t.Helper()
 	p, err := NewProtocol(name)
@@ -46,10 +46,10 @@ func assertLanesMatchSolo(t *testing.T, name string, sc Scenario, n int, seeds [
 	}
 }
 
-// TestLaneTrialsMatchSolo is the lane-subsystem differential test: for
-// every built-in protocol and ring sizes across both pair-table tiers,
-// a batch of same-cell trials run as lockstep lanes over one shared
-// table set must reproduce the solo path bit-for-bit.
+// TestLaneTrialsMatchSolo is the lane differential test: for every
+// built-in protocol and ring sizes across both pair-table tiers, a batch
+// of same-cell trials sharing one table set, run back to back, must
+// reproduce the solo path bit-for-bit.
 func TestLaneTrialsMatchSolo(t *testing.T) {
 	for name, sizes := range diffCells() {
 		// Smallest and largest per protocol: both table tiers, fast matrix.
@@ -60,10 +60,11 @@ func TestLaneTrialsMatchSolo(t *testing.T) {
 }
 
 // TestLaneTrialsMatchSoloUnderAdversaries extends the lane differential to
-// the PR 7 adversarial schedulers and ring dynamics. Stuck-agent cells
-// stay on the lane path (each lane runs its generic engine under the lane
-// set); fault and churn cells make LaneTrials itself fall back to per-seed
-// solo trials — either way the results must be identical to the solo path.
+// the adversarial schedulers and ring dynamics. Every cell runs over the
+// shared table set: stuck-agent trials take their generic engines, and
+// fault and churn trials re-intern each installed configuration into the
+// shared tables — either way the results must be identical to the solo
+// path.
 func TestLaneTrialsMatchSoloUnderAdversaries(t *testing.T) {
 	scenarios := []Scenario{
 		{Sched: &SchedulerSpec{Kind: "biased", Family: "hotspot", HotArcs: 4, Weight: 8}},
@@ -117,9 +118,9 @@ func TestLaneTrialsCapacityFallback(t *testing.T) {
 	}
 }
 
-// TestLaneTrialsSmallBatches pins the degenerate batch sizes: zero seeds
-// and a single seed take the solo path inside LaneTrials and must still
-// agree with Trial.
+// TestLaneTrialsSmallBatches pins the degenerate batch sizes — zero seeds
+// and a single seed must still agree with Trial — and the ring-size check:
+// a ring below two agents is an error, not a panic.
 func TestLaneTrialsSmallBatches(t *testing.T) {
 	p, err := NewProtocol("ppl")
 	if err != nil {
@@ -130,4 +131,7 @@ func TestLaneTrialsSmallBatches(t *testing.T) {
 		t.Fatalf("empty batch: got (%v, %v)", res, err)
 	}
 	assertLanesMatchSolo(t, "ppl", Scenario{}, 16, []uint64{7})
+	if _, err := l.LaneTrials(Scenario{}, 1, []uint64{7}); err == nil {
+		t.Fatal("LaneTrials ran a 1-agent ring")
+	}
 }

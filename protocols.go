@@ -58,14 +58,15 @@ var internedOff atomic.Bool
 // runner needs: the engine, an installer that routes configuration changes
 // through the protocol's oracle runner (nil for plain engines), a state
 // sampler for fault injection, the incremental convergence tracker of the
-// hot path, and the equivalent scan predicate (the cross-check oracle the
-// convergenceScanEvery hook selects).
-type trialEngine[S any] struct {
+// hot path, the interned layer attached to the engine, and the equivalent
+// scan predicate (the cross-check oracle the convergenceScanEvery hook
+// selects).
+type trialEngine[S comparable] struct {
 	eng     *population.Engine[S]
 	install func([]S)
 	corrupt func(rng *xrand.RNG, cur S) S
 	tracker population.ConvergenceTracker[S]
-	accel   population.Accelerator
+	accel   *population.InternedEngine[S]
 	pred    func([]S) bool
 }
 
@@ -140,6 +141,15 @@ func churnStep[S any](eng *population.Engine[S], rng *xrand.RNG, ev ChurnEvent, 
 	return removed
 }
 
+// checkRingSize rejects rings too small to hold an interaction: every
+// built-in engine runs on a ring of at least two agents.
+func checkRingSize(info ProtocolInfo, n int) error {
+	if n < 2 {
+		return fmt.Errorf("repro: %s needs a ring of at least 2 agents, got %d", info.Name, n)
+	}
+	return nil
+}
+
 // rejectChurn is the validation shared by protocols whose construction
 // is pinned to a fixed ring size — P_OR's two-hop coloring and the
 // oracle-census baselines cannot re-splice mid-run.
@@ -150,13 +160,11 @@ func rejectChurn(info ProtocolInfo, sc Scenario) error {
 	return nil
 }
 
-// interned returns the trial's interned execution layer, or nil when the
-// trial must run generically: the layer is absent, a test hook forces the
-// generic engine or the scan-era oracle, or the layer has already fallen
-// back (it then delegates internally, so returning it would still be
-// correct — this just keeps the dispatch explicit).
-func (te trialEngine[S]) interned() population.Accelerator {
-	if te.accel == nil || internedOff.Load() || convergenceScanEvery.Load() > 0 {
+// interned returns the trial's interned execution layer, or nil when a
+// test hook forces the generic engine or the scan-era oracle. A layer that
+// has fallen back delegates to the generic engine internally.
+func (te trialEngine[S]) interned() *population.InternedEngine[S] {
+	if internedOff.Load() || convergenceScanEvery.Load() > 0 {
 		return nil
 	}
 	return te.accel
@@ -336,9 +344,7 @@ func (te trialEngine[S]) benchInterned(maxSteps uint64) (uint64, bool, bool) {
 
 // benchPrefill fills the interned tables along the run's trajectory to
 // convergence for a warm replay (population.InternedEngine.Prefill).
-func (te trialEngine[S]) benchPrefill(maxSteps uint64) {
-	te.accel.(interface{ Prefill(uint64) }).Prefill(maxSteps)
-}
+func (te trialEngine[S]) benchPrefill(maxSteps uint64) { te.accel.Prefill(maxSteps) }
 
 // stepCount returns the scheduler steps executed so far.
 func (te trialEngine[S]) stepCount() uint64 { return te.eng.Steps() }
@@ -423,44 +429,29 @@ func (p *ringProtocol[S]) ProbedTrial(sc Scenario, n int, seed uint64, probe Pro
 	if err := p.Validate(sc); err != nil {
 		return TrialResult{}, err
 	}
+	if err := checkRingSize(p.info, n); err != nil {
+		return TrialResult{}, err
+	}
 	return p.newTrial(sc, n, seed).run(sc, n, seed, sc.MaxSteps(p, n), p.info.Name, probe), nil
 }
 
-// LaneTrials runs a batch of same-cell trials as lockstep lanes sharing
-// one warm table set (population.LaneSet). Results are bit-identical to
-// calling Trial per seed — lanes only amortize table fills — so callers
-// may freely switch between the two paths. Scenarios whose trials need the
-// event machinery of trialEngine.run (faults, churn) and the test hooks
-// that force the generic or scan paths run each seed solo instead.
-// Stuck-agent scenarios stay on the lane path: prepare() routes each lane
-// to its generic engine up front and the lane set completes them there.
+// LaneTrials runs a batch of same-cell trials back to back over one shared
+// table set, each through the ordinary trialEngine.run. Memo entries are
+// pure functions of the state pair, so every trial after the first only
+// starts from warmer tables: results are bit-identical to calling Trial
+// per seed, and callers may freely switch between the two paths.
 func (p *ringProtocol[S]) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
 	if err := p.Validate(sc); err != nil {
 		return nil, err
 	}
+	if err := checkRingSize(p.info, n); err != nil {
+		return nil, err
+	}
 	maxSteps := sc.MaxSteps(p, n)
-	out := make([]TrialResult, len(seeds))
-	solo := len(sc.Faults) > 0 || sc.Sched.hasChurn() ||
-		internedOff.Load() || convergenceScanEvery.Load() > 0
-	if solo || len(seeds) < 2 {
-		for i, seed := range seeds {
-			out[i] = p.newTrial(sc, n, seed).run(sc, n, seed, maxSteps, p.info.Name, nil)
-		}
-		return out, nil
-	}
 	tab := p.tables(sc, n)
-	tes := make([]trialEngine[S], len(seeds))
-	lanes := make([]*population.InternedEngine[S], len(seeds))
+	out := make([]TrialResult, len(seeds))
 	for i, seed := range seeds {
-		tes[i] = p.trial(sc, n, seed, tab)
-		lanes[i] = tes[i].accel.(*population.InternedEngine[S])
-	}
-	steps, conv := population.NewLaneSet(lanes).RunUntilConverged(maxSteps)
-	for i, seed := range seeds {
-		out[i] = TrialResult{
-			N: n, Seed: seed, Steps: steps[i],
-			Stabilized: tes[i].eng.LastLeaderChange(), Converged: conv[i],
-		}
+		out[i] = p.trial(sc, n, seed, tab).run(sc, n, seed, maxSteps, p.info.Name, nil)
 	}
 	return out, nil
 }
@@ -475,7 +466,7 @@ func (p *ringProtocol[S]) newBench(sc Scenario, n int, seed uint64) (benchRunner
 }
 
 // newBenchPair builds two trial engines for the same cell and seed over
-// one shared table set — the sharing the lanes use — so RunBenchmark can
+// one shared table set — the sharing LaneTrials uses — so RunBenchmark can
 // fill the tables with an untimed run and then time the identical
 // trajectory through them warm.
 func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error) {

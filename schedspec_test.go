@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // TestSchedulerSpecJSONRoundTrip pins the wire form of the scheduler
@@ -131,4 +133,80 @@ func TestParseChurnSpec(t *testing.T) {
 			t.Fatalf("parse %q accepted: %+v", in, evs)
 		}
 	}
+}
+
+// fuzzArcCounts are the ring arc counts the grammar fuzzers compile each
+// accepted spec at: the smallest directed ring, the smallest odd one, and
+// a sweep-sized ring.
+var fuzzArcCounts = []int{2, 3, 64}
+
+// assertCompiles compiles a spec that passed Scenario.Validate at every
+// fuzzArcCounts size and checks a few draws land on real arcs.
+func assertCompiles(t *testing.T, spec *SchedulerSpec) {
+	t.Helper()
+	if err := (Scenario{Sched: spec}).Validate(); err != nil {
+		return
+	}
+	for _, arcs := range fuzzArcCounts {
+		s := spec.compileArcSched(arcs)
+		if s == nil {
+			continue
+		}
+		out := make([]int32, 8)
+		s.Fill(xrand.New(1), 0, out)
+		for _, k := range out {
+			if k < 0 || int(k) >= arcs {
+				t.Fatalf("%+v at %d arcs drew arc %d", spec, arcs, k)
+			}
+		}
+	}
+}
+
+// FuzzParseSchedulerSpec runs the -sched grammar: whatever it parses and
+// Scenario.Validate accepts must compile on rings of every size. The seeds
+// run under plain go test.
+func FuzzParseSchedulerSpec(f *testing.F) {
+	for _, seed := range []string{
+		"uniform",
+		"hotspot:arcs=8,weight=16",
+		"hotspot:arcs=1000,weight=1e300",
+		"ramp:weight=0.5",
+		"eclipse:period=100000,duration=20000,arcs=48",
+		"eclipse:period=10,duration=9,arcs=99,offset=-7,start=3",
+		"eclipse:period=2,duration=1,arcs=1",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := ParseSchedulerSpec(text)
+		if err != nil {
+			return
+		}
+		assertCompiles(t, spec)
+	})
+}
+
+// FuzzParseChurnSpec runs the -churn grammar the same way: every event it
+// parses must pass Scenario.Validate, and the spec must compile.
+func FuzzParseChurnSpec(f *testing.F) {
+	for _, seed := range []string{
+		"del2@5000,add2@9000",
+		"add1@0",
+		"del4@18446744073709551615, add3@1",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		events, err := ParseChurnSpec(text)
+		if err != nil {
+			return
+		}
+		spec := &SchedulerSpec{Churn: events}
+		if err := (Scenario{Sched: spec}).Validate(); err != nil {
+			t.Fatalf("ParseChurnSpec(%q) = %+v, which Validate rejects: %v", text, events, err)
+		}
+		assertCompiles(t, spec)
+	})
 }
