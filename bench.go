@@ -10,8 +10,10 @@ type BenchMode string
 
 const (
 	// BenchRaw measures the raw transition loop: a fixed number of
-	// RunBatch scheduler steps with no convergence judgement at all — the
-	// ceiling any convergence-detection scheme is compared against.
+	// generic Engine.Run scheduler steps with no convergence judgement at
+	// all — the ceiling any convergence-detection scheme is compared
+	// against. The mode keeps its historical "runbatch" name, which the
+	// committed baselines record.
 	BenchRaw BenchMode = "runbatch"
 	// BenchTracked measures a run to convergence through the incremental
 	// tracker (the production path): exact hitting times, O(1) per-step
@@ -35,8 +37,7 @@ const (
 	BenchLanes BenchMode = "lanes"
 )
 
-// defaultBenchLanes is the lane count RunBenchmark uses for BenchLanes;
-// RunBenchmarkLanes takes an explicit width.
+// defaultBenchLanes is the lane count of every BenchLanes row.
 const defaultBenchLanes = 8
 
 // benchLaneSeedStride spreads a base seed into per-lane seeds
@@ -126,10 +127,14 @@ type engineProtocol interface {
 // measurement. Custom registered protocols are not supported — the modes
 // need engine-level access that the public Protocol contract deliberately
 // does not expose.
+//
+// A BenchLanes row runs defaultBenchLanes same-cell trials with seeds
+// seed, seed+stride, … sharing one table set, run back to back. Its timed
+// region is the whole LaneTrials call — table construction included,
+// since amortizing that construction across the batch is exactly what the
+// mode exists to measure. Steps sums the batch; Converged reports whether
+// every lane hit its predicate.
 func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, rawSteps uint64) (BenchResult, error) {
-	if mode == BenchLanes {
-		return RunBenchmarkLanes(name, n, seed, sc, defaultBenchLanes)
-	}
 	if len(sc.Faults) > 0 {
 		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support fault schedules")
 	}
@@ -151,7 +156,9 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 	n = p.FixSize(n)
 	maxSteps := sc.MaxSteps(p, n)
 	var ru benchRunner
-	if mode == BenchInterned {
+	var seeds []uint64
+	switch mode {
+	case BenchInterned:
 		// Steady-state measurement: an untimed warmup run over the shared
 		// table set fills the interner and pair tables, then the timed
 		// runner below replays the identical trajectory entirely warm. The
@@ -163,7 +170,12 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		}
 		warm.benchPrefill(maxSteps)
 		ru = timed
-	} else {
+	case BenchLanes:
+		seeds = make([]uint64, defaultBenchLanes)
+		for i := range seeds {
+			seeds[i] = seed + uint64(i)*benchLaneSeedStride
+		}
+	default:
 		ru, err = b.newBench(sc, n, seed)
 		if err != nil {
 			return BenchResult{}, err
@@ -185,59 +197,20 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		_, res.Converged, interned = ru.benchInterned(maxSteps)
 		res.Steps = ru.stepCount()
 		res.Fallback = !interned
+	case BenchLanes:
+		trials, err := b.LaneTrials(sc, n, seeds)
+		if err != nil {
+			return BenchResult{}, err
+		}
+		res.Lanes, res.Converged = len(seeds), true
+		for _, tr := range trials {
+			res.Steps += tr.Steps
+			res.Converged = res.Converged && tr.Converged
+		}
 	default:
 		return BenchResult{}, fmt.Errorf("repro: unknown bench mode %q", mode)
 	}
 	res.Seconds = time.Since(start).Seconds()
-	if res.Seconds > 0 {
-		res.StepsPerSec = float64(res.Steps) / res.Seconds
-	}
-	return res, nil
-}
-
-// RunBenchmarkLanes executes one BenchLanes measurement: k same-cell trials
-// with seeds seed, seed+stride, … sharing one table set, run back to back.
-// The timed region is the whole LaneTrials call — table
-// construction included, since amortizing that construction across the
-// batch is exactly what the mode exists to measure. Steps sums the batch;
-// Converged reports whether every lane hit its predicate.
-func RunBenchmarkLanes(name string, n int, seed uint64, sc Scenario, k int) (BenchResult, error) {
-	if k < 1 {
-		return BenchResult{}, fmt.Errorf("repro: lanes benchmark needs k >= 1, got %d", k)
-	}
-	if len(sc.Faults) > 0 {
-		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support fault schedules")
-	}
-	if sc.Sched.hasChurn() {
-		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support churn schedules")
-	}
-	p, err := NewProtocol(name)
-	if err != nil {
-		return BenchResult{}, err
-	}
-	l, ok := p.(engineProtocol)
-	if !ok {
-		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support lane benchmarks", name)
-	}
-	n = p.FixSize(n)
-	seeds := make([]uint64, k)
-	for i := range seeds {
-		seeds[i] = seed + uint64(i)*benchLaneSeedStride
-	}
-	res := BenchResult{
-		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: BenchLanes,
-		Seed: seed, Lanes: k, Converged: true,
-	}
-	start := time.Now()
-	trials, err := l.LaneTrials(sc, n, seeds)
-	res.Seconds = time.Since(start).Seconds()
-	if err != nil {
-		return BenchResult{}, err
-	}
-	for _, tr := range trials {
-		res.Steps += tr.Steps
-		res.Converged = res.Converged && tr.Converged
-	}
 	if res.Seconds > 0 {
 		res.StepsPerSec = float64(res.Steps) / res.Seconds
 	}

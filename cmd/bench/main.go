@@ -1,9 +1,10 @@
 // Command bench emits the repository's performance baseline,
 // BENCH_ringsim.json: steps per second for every requested protocol ×
-// ring size × scenario cell, in four engine modes — the raw RunBatch
-// transition loop (no convergence judgement), the incremental-tracker run
-// to convergence, the interned table-lookup run (the trial default), and
-// the "lanes" mode — a batch of -lanes same-cell trials sharing one
+// ring size × scenario cell, in four engine modes — the raw generic
+// Engine.Run transition loop (no convergence judgement; the mode keeps its
+// historical name "runbatch"), the incremental-tracker run to
+// convergence, the interned table-lookup run (the trial default), and the
+// "lanes" mode — a batch of eight same-cell trials sharing one
 // transition-table set, run back to back, whose steps/sec aggregates the
 // batch — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
@@ -20,7 +21,7 @@
 //	bench [-protocols ppl,yokota,...] [-sizes 16,32,64] [-scenarios random]
 //	      [-modes runbatch,tracked,interned,lanes,recovery,eclipse]
 //	      [-trials 3] [-bestof 3] [-seed 1] [-rawsteps 2000000] [-ccmax 8]
-//	      [-lanes 8] [-maxstates 0] [-quick]
+//	      [-maxstates 0] [-quick]
 //	      [-o BENCH_ringsim.json] [-records FILE]
 //	bench -compare [-gate] [-max-tracked-regress 0.20] [-max-recovery-drift 0.05]
 //	      old.json new.json
@@ -89,7 +90,6 @@ type config struct {
 	seed      uint64
 	rawSteps  uint64
 	ccmax     int
-	lanes     int
 	maxStates int
 	out       string
 	records   string
@@ -112,7 +112,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "first scheduler seed")
 		rawSteps   = flag.Uint64("rawsteps", 2_000_000, "step budget of the runbatch mode")
 		ccmax      = flag.Int("ccmax", 8, "largest size for the [11]-style baseline (exponential class)")
-		lanes      = flag.Int("lanes", 8, "batch width of the lanes mode")
 		maxStates  = flag.Int("maxstates", 0, "interner capacity cap for every cell (0: engine default)")
 		out        = flag.String("o", "", "output path (default: stdout)")
 		records    = flag.String("records", "", "also stream each measurement as a TrialRecord JSONL line to this file")
@@ -175,7 +174,7 @@ func main() {
 	cfg = config{
 		protocols: *protocols, sizes: *sizes, scenarios: *scenarios, modes: *modes,
 		trials: *trials, bestOf: *bestOf, seed: *seed, rawSteps: *rawSteps,
-		ccmax: *ccmax, lanes: *lanes, maxStates: *maxStates, out: *out, records: *records,
+		ccmax: *ccmax, maxStates: *maxStates, out: *out, records: *records,
 	}
 	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -187,7 +186,7 @@ func main() {
 // times and returns the fastest row (the row whose timing is least
 // polluted by scheduler noise; steps are identical across repeats because
 // the seed pins the trajectory).
-func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, rawSteps uint64, bestOf, lanes int) (repro.BenchResult, error) {
+func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, rawSteps uint64, bestOf int) (repro.BenchResult, error) {
 	var best repro.BenchResult
 	for i := 0; i < bestOf; i++ {
 		var res repro.BenchResult
@@ -197,8 +196,6 @@ func measure(name string, n int, seed uint64, sc repro.Scenario, mode string, ra
 			res, err = measureRecovery(name, n, seed, sc)
 		case "eclipse":
 			res, err = measureEclipse(name, n, seed, sc)
-		case "lanes":
-			res, err = repro.RunBenchmarkLanes(name, n, seed, sc, lanes)
 		default:
 			res, err = repro.RunBenchmark(name, n, seed, sc, repro.BenchMode(mode), rawSteps)
 		}
@@ -350,7 +347,7 @@ func run(stdout io.Writer, cfg config) error {
 				}
 				for _, mode := range split(cfg.modes) {
 					for t := 0; t < cfg.trials; t++ {
-						res, err := measure(name, n, cfg.seed+uint64(t), sc, mode, cfg.rawSteps, cfg.bestOf, cfg.lanes)
+						res, err := measure(name, n, cfg.seed+uint64(t), sc, mode, cfg.rawSteps, cfg.bestOf)
 						if err != nil {
 							return err
 						}

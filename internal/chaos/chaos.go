@@ -280,7 +280,8 @@ func (in *Injector) CrashPoint(label string) {
 //	httperr=0.05,trunc=0.02,torn=0.01,tornat=3,enospc=0.01,
 //	fsync=0.01,crash=worker.ran@2
 //
-// Unknown keys are an error; an empty string is the zero Config.
+// Unknown keys are an error, as are probabilities outside [0,1] (NaN
+// included) and negative counts; an empty string is the zero Config.
 func ParseFlag(s string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(s) == "" {
@@ -310,7 +311,7 @@ func ParseFlag(s string) (Config, error) {
 		case "torn":
 			cfg.TornWrite, err = parseProb(v)
 		case "tornat":
-			cfg.TornWriteAt, err = strconv.Atoi(v)
+			cfg.TornWriteAt, err = parseCount(v)
 		case "enospc":
 			cfg.ENOSPC, err = parseProb(v)
 		case "fsync":
@@ -321,7 +322,7 @@ func ParseFlag(s string) (Config, error) {
 				return cfg, fmt.Errorf("chaos: crash wants label@N, got %q", v)
 			}
 			cfg.CrashLabel = label
-			cfg.CrashAt, err = strconv.Atoi(at)
+			cfg.CrashAt, err = parseCount(at)
 		default:
 			return cfg, fmt.Errorf("chaos: unknown spec key %q", k)
 		}
@@ -337,8 +338,19 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // written so NaN fails too
 		return 0, fmt.Errorf("probability %v outside [0,1]", p)
 	}
 	return p, nil
+}
+
+func parseCount(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("count %d is negative", n)
+	}
+	return n, nil
 }

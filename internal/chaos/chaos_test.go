@@ -234,3 +234,41 @@ func TestParseFlag(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseFlag runs the -chaos grammar: whatever it accepts must be a
+// plan the injector can honor — every probability in [0,1] (a NaN would
+// silently disable its fault) and no negative counts. The seeds run under
+// plain go test.
+func FuzzParseFlag(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7,drop=0.05,dropafter=0.02,latency=0.2,maxlat=80ms,httperr=0.1,trunc=0.02,torn=0.01,tornat=3,enospc=0.01,fsync=0.01,crash=worker.ran@2",
+		"drop=NaN,torn=nan,tornat=-3,crash=worker.ran@-1",
+		"drop=NaN",
+		"fsync=-nan",
+		"latency=+Inf",
+		"tornat=-3",
+		"crash=worker.ran@-1",
+		"drop=1,trunc=0,enospc=0x1p-3",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, err := ParseFlag(s)
+		if err != nil {
+			return
+		}
+		for name, p := range map[string]float64{
+			"drop": cfg.Drop, "dropafter": cfg.DropAfter, "latency": cfg.Latency,
+			"httperr": cfg.HTTPError, "trunc": cfg.Truncate, "torn": cfg.TornWrite,
+			"enospc": cfg.ENOSPC, "fsync": cfg.FsyncFail,
+		} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseFlag(%q) accepted %s=%v, outside [0,1]", s, name, p)
+			}
+		}
+		if cfg.TornWriteAt < 0 || cfg.CrashAt < 0 {
+			t.Fatalf("ParseFlag(%q) accepted negative counts: tornat=%d crash@%d", s, cfg.TornWriteAt, cfg.CrashAt)
+		}
+	})
+}

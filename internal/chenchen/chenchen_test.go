@@ -3,6 +3,7 @@ package chenchen
 import (
 	"testing"
 
+	"repro/internal/population"
 	"repro/internal/war"
 	"repro/internal/xrand"
 )
@@ -186,6 +187,59 @@ func TestNoFalseElectionWithLeader(t *testing.T) {
 	if got := ru.Engine().LeaderChanges(); got != base {
 		t.Fatalf("leader set changed %d times", got-base)
 	}
+}
+
+// TestRunnerCensusMatchesRecount pins the flag census the engine observer
+// maintains across every path that moves the configuration: generic Run,
+// RunUntilConverged and ApplyArc, a run with stuck agents (whose observed
+// after-state is their unchanged pre-state), and an interned run whose
+// capacity fallback hands the triggering interaction to the generic
+// engine.
+func TestRunnerCensusMatchesRecount(t *testing.T) {
+	const n = 8
+	check := func(ru *Runner, when string) {
+		t.Helper()
+		var want Census
+		for _, s := range ru.Engine().Config() {
+			want.Anchors += btoi(s.Anchor)
+			want.Walkers += btoi(s.Walker)
+			want.Retractors += btoi(s.Retract)
+		}
+		if ru.census != want {
+			t.Fatalf("%s: census %+v, recount %+v", when, ru.census, want)
+		}
+	}
+	ru := NewRunner(n, xrand.New(3))
+	ru.SetStates(ru.proto.RandomConfig(xrand.New(4), n))
+	eng := ru.Engine()
+	eng.Run(3000)
+	check(ru, "Run")
+	eng.SetTracker(population.NewRingTracker(ru.proto.StableSpec()))
+	if _, ok := eng.RunUntilConverged(2_000_000); !ok {
+		t.Fatal("RunUntilConverged did not converge")
+	}
+	check(ru, "RunUntilConverged")
+	for k := 0; k < n; k++ {
+		eng.ApplyArc(k)
+	}
+	check(ru, "ApplyArc")
+	ru.SetStates(ru.proto.RandomConfig(xrand.New(5), n))
+	frozen := make([]bool, n)
+	frozen[0], frozen[5] = true, true
+	eng.SetFrozen(frozen)
+	eng.Run(3000)
+	check(ru, "stuck-agent Run")
+
+	ru = NewRunner(n, xrand.New(6))
+	ru.SetStates(make([]State, n)) // one distinct state: interning starts
+	env, spec := ru.InternEnv(), ru.proto.StableSpec()
+	tab := population.NewTables(spec, IsLeader, nil, env, population.InternOptions{MaxStates: 3})
+	acc := population.AttachInterned(ru.Engine(), tab, env, population.NewRingTracker(spec))
+	acc.RunUntilConverged(2_000_000)
+	if acc.Interned() {
+		t.Fatal("a 3-state cap did not force the capacity fallback")
+	}
+	check(ru, "interned capacity fallback")
 }
 
 func TestStableRejectsBadShapes(t *testing.T) {

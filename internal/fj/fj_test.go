@@ -3,6 +3,7 @@ package fj
 import (
 	"testing"
 
+	"repro/internal/population"
 	"repro/internal/war"
 	"repro/internal/xrand"
 )
@@ -137,6 +138,58 @@ func TestStabilityIsAbsorbing(t *testing.T) {
 	if ru.Engine().LeaderChanges() != changes {
 		t.Fatal("leader changed after stabilization")
 	}
+}
+
+// TestRunnerCensusMatchesRecount pins the oracle census the engine
+// observer maintains across every path that moves the configuration:
+// generic Run, RunUntilConverged and ApplyArc, a run with stuck agents
+// (whose observed after-state is their unchanged pre-state), and an
+// interned run whose capacity fallback hands the triggering interaction to
+// the generic engine.
+func TestRunnerCensusMatchesRecount(t *testing.T) {
+	const n = 12
+	check := func(ru *Runner, when string) {
+		t.Helper()
+		leaders, bullets := 0, 0
+		for _, s := range ru.Engine().Config() {
+			leaders += btoi(s.Leader)
+			bullets += btoi(s.Bullet != war.None)
+		}
+		if ru.leaders != leaders || ru.bullets != bullets {
+			t.Fatalf("%s: census has %d leaders, %d bullets; recount %d, %d", when, ru.leaders, ru.bullets, leaders, bullets)
+		}
+	}
+	ru := NewRunner(n, xrand.New(3))
+	ru.SetStates(ru.proto.RandomConfig(xrand.New(4), n))
+	eng := ru.Engine()
+	eng.Run(3000)
+	check(ru, "Run")
+	eng.SetTracker(population.NewRingTracker(ru.proto.StableSpec()))
+	if _, ok := eng.RunUntilConverged(1 << 24); !ok {
+		t.Fatal("RunUntilConverged did not converge")
+	}
+	check(ru, "RunUntilConverged")
+	for k := 0; k < n; k++ {
+		eng.ApplyArc(k)
+	}
+	check(ru, "ApplyArc")
+	ru.SetStates(ru.proto.RandomConfig(xrand.New(5), n))
+	frozen := make([]bool, n)
+	frozen[0], frozen[7] = true, true
+	eng.SetFrozen(frozen)
+	eng.Run(3000)
+	check(ru, "stuck-agent Run")
+
+	ru = NewRunner(n, xrand.New(6))
+	ru.SetStates(make([]State, n)) // one distinct state: interning starts
+	env, spec := ru.InternEnv(), ru.proto.StableSpec()
+	tab := population.NewTables(spec, IsLeader, nil, env, population.InternOptions{MaxStates: 4})
+	acc := population.AttachInterned(ru.Engine(), tab, env, population.NewRingTracker(spec))
+	acc.Run(3000) // past convergence: the leader's bullets outgrow the cap
+	if acc.Interned() {
+		t.Fatal("a 4-state cap did not force the capacity fallback")
+	}
+	check(ru, "interned capacity fallback")
 }
 
 func TestStableRejectsBadShapes(t *testing.T) {

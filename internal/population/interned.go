@@ -199,17 +199,6 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 // States returns the number of distinct states interned so far.
 func (t *Tables[S]) States() int { return t.in.Len() }
 
-// Pairs returns the number of distinct (state, state) interaction pairs
-// memoized so far, across every environment-keyed table — with States, the
-// size diagnostic behind the docs' table-memory figures.
-func (t *Tables[S]) Pairs() int {
-	total := 0
-	for i := range t.trans {
-		total += t.trans[i].used
-	}
-	return total
-}
-
 // syncIDMeta extends the per-ID precomputed leader bits, agent masks and
 // meta words to cover newly minted IDs.
 func (t *Tables[S]) syncIDMeta() {
@@ -434,11 +423,10 @@ func (g *InternedEngine[S]) fill(key uint32, idL, idR uint32) (uint64, bool) {
 // memo tables, maintaining everything Engine.applyPair does. When mirror
 // is set the tracker mirror is kept in sync too. It reports stepFell after
 // a capacity fallback, in which case the interaction has been executed
-// generically instead (with the generic tracker installed first when
-// mirror was requested, so its Reset precedes and its Update covers the
-// interaction); stepNoop when the memoized interaction changes no state —
-// then only the step counter advanced, which is all the bookkeeping an
-// identity transition requires.
+// by Engine.applyPair instead (observer included, so an EnvSpec
+// protocol's census never misses the delta); stepNoop when the memoized
+// interaction changes no state — then only the step counter advanced,
+// which is all the bookkeeping an identity transition requires.
 func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 	e := g.Engine
 	t := g.tab
@@ -470,21 +458,7 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 		if v, ok = g.fill(key, idL, idR); !ok {
 			g.settle() // the generic continuation reads Engine.states
 			g.fall()
-			if mirror {
-				e.SetTracker(g.generic)
-			}
-			lb, rb := e.states[li], e.states[ri]
-			e.applyPair(li, ri, lb, rb)
-			if e.observer != nil {
-				// The generic continuation maintains oracle counters through
-				// the engine observer, so the triggering interaction must
-				// dispatch it exactly as applyArc would — otherwise an
-				// EnvSpec protocol's census would permanently miss this one
-				// delta. (Pure protocols with observers never reach here:
-				// prepare() routes them to the generic path up front.)
-				e.observer(int(li), lb, e.states[li])
-				e.observer(int(ri), rb, e.states[ri])
-			}
+			e.applyPair(li, ri)
 			return stepFell
 		}
 	}
@@ -708,72 +682,53 @@ func (g *InternedEngine[S]) convergedNow() bool {
 
 // Run executes exactly steps scheduler steps, interned when possible, with
 // the identical RNG stream, state trajectory and accounting of Engine.Run.
-func (g *InternedEngine[S]) Run(steps uint64) {
-	if !g.prepare() {
-		// The generic engine advances states without the ID mirror seeing
-		// it (installGen only tracks installs, not interactions), so the
-		// mirror must be rebuilt before any later interned run.
-		g.idsOK = false
-		g.Engine.Run(steps)
-		return
-	}
-	g.mirrorOK = false // not maintained outside convergence runs
-	g.lazyOn(false)
-	rem := g.runSteps(steps, false)
-	g.settle()
-	if rem > 0 {
-		g.Engine.Run(rem)
-	}
-}
-
-// runSteps executes up to steps interned interactions, drawing arcs through
-// the engine's pending buffer in the same batch sizes as the generic paths.
-// It returns the number of steps still owed after a capacity fallback (the
-// already-drawn arc has been executed generically; remaining pre-drawn arcs
-// stay pending, so a generic continuation follows the identical scheduler
-// stream), or 0 on completion.
-func (g *InternedEngine[S]) runSteps(steps uint64, mirror bool) uint64 {
-	e := g.Engine
-	for steps > 0 {
-		if e.pendStart == e.pendEnd {
-			e.refillPending(steps)
-		}
-		arc := e.topo.Arcs[e.pendBuf[e.pendStart]]
-		e.pendStart++
-		steps--
-		if g.applyInterned(arc[0], arc[1], mirror) == stepFell {
-			return steps
-		}
-		if g.reuseBail() {
-			g.settle()
-			g.fall()
-			return steps
-		}
-	}
-	return 0
-}
+func (g *InternedEngine[S]) Run(steps uint64) { g.run(g.Engine.step+steps, false) }
 
 // RunUntilConverged runs to the spec's convergence, mirroring
 // Engine.RunUntilConverged: the verdict runs after every single step, so
 // hitting times are exact; on mid-batch convergence the remaining pre-drawn
-// arcs stay pending for later runs. No-op steps skip the verdict — an
-// interaction that changes no state cannot flip a configuration predicate
-// that was false before it.
+// arcs stay pending for later runs.
 func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
+	return g.run(maxSteps, true)
+}
+
+// Prefill is RunUntilConverged for a warmup that fills tables another
+// attached engine will replay: those fills are reused by construction, so
+// the reuse guard holds its window open for the run.
+func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
+	g.winLen = math.MaxInt
+	g.run(maxSteps, true)
+	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
+}
+
+// run is the interned layer's one draw loop, behind Run, RunUntilConverged
+// and Prefill — Engine.run with table loads for transitions. It executes
+// steps until the step count reaches limit or, when converge is set, until
+// the mirrored verdict holds, and returns the step count and whether it
+// converged. Arcs come from the engine's pending buffer in the same batch
+// sizes as the generic loop. When prepare declines, on a capacity fallback
+// (the drawn arc has already run generically) and on a reuse bail the run
+// finishes on the generic engine through resume, on the exact same
+// scheduler stream. No-op steps skip the verdict — an interaction that
+// changes no state cannot flip a configuration predicate that was false
+// before it.
+func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 	e := g.Engine
 	if !g.prepare() {
-		g.idsOK = false // the generic run advances states past the mirror
-		e.SetTracker(g.generic)
-		return e.RunUntilConverged(maxSteps)
+		return g.resume(limit, converge)
 	}
-	g.ensureMirror()
-	if g.convergedNow() {
-		return e.step, true
+	if converge {
+		g.ensureMirror()
+		if g.convergedNow() {
+			return e.step, true
+		}
+	} else {
+		g.mirrorOK = false // not maintained outside convergence runs
 	}
-	g.lazyOn(true)
-	for e.step < maxSteps {
+	g.lazyOn(converge)
+	for e.step < limit {
 		if e.pendStart == e.pendEnd {
-			e.refillPending(maxSteps - e.step)
+			e.refillPending(limit - e.step)
 		}
 		arc := e.topo.Arcs[e.pendBuf[e.pendStart]]
 		e.pendStart++
@@ -784,13 +739,11 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 			na := e.topo.Arcs[e.pendBuf[pf]]
 			g.tab.trans[0].prefetch(g.ids[na[0]], g.ids[na[1]])
 		}
-		switch g.applyInterned(arc[0], arc[1], true) {
+		switch g.applyInterned(arc[0], arc[1], converge) {
 		case stepFell:
-			// Fallback: the generic tracker was installed before the drawn
-			// arc ran, so the generic loop resumes with exact verdicts.
-			return e.RunUntilConverged(maxSteps)
+			return g.resume(limit, converge)
 		case stepApplied:
-			if g.convergedNow() {
+			if converge && g.convergedNow() {
 				g.settle()
 				return e.step, true
 			}
@@ -798,21 +751,27 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 		if g.reuseBail() {
 			g.settle()
 			g.fall()
-			e.SetTracker(g.generic)
-			return e.RunUntilConverged(maxSteps)
+			return g.resume(limit, converge)
 		}
 	}
 	g.settle()
 	return e.step, false
 }
 
-// Prefill is RunUntilConverged for a warmup that fills tables another
-// attached engine will replay: those fills are reused by construction, so
-// the reuse guard holds its window open for the run.
-func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
-	g.winLen = math.MaxInt
-	g.RunUntilConverged(maxSteps)
-	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
+// resume finishes a run on the generic engine, with the generic tracker
+// installed for a convergence run. The generic engine advances states
+// without the ID mirror seeing it (installGen only tracks installs, not
+// interactions), so the mirror must be rebuilt before any later interned
+// run.
+func (g *InternedEngine[S]) resume(limit uint64, converge bool) (uint64, bool) {
+	e := g.Engine
+	g.idsOK = false
+	if !converge {
+		e.run(limit, false)
+		return e.step, false
+	}
+	e.SetTracker(g.generic)
+	return e.RunUntilConverged(limit)
 }
 
 // SampleCounts exports the named channel counts over the current

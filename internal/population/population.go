@@ -67,6 +67,10 @@ type Transition[S any] func(l, r S) (S, S)
 // for the consecutive steps [step, step+len(out)), consuming the RNG
 // serially so batch boundaries never change the stream, and the engine
 // clamps batches so no Fill straddles a NextTransition boundary.
+// NextTransition returns the smallest step index > step at which the
+// distribution changes (math.MaxUint64 if it never does); Phase reports
+// the epoch ordinal in effect at step (0 before the first transition)
+// and whether that phase is an eclipse (some arcs are dead).
 type ArcScheduler interface {
 	Fill(rng *xrand.RNG, step uint64, out []int32)
 	NextTransition(step uint64) uint64
@@ -74,8 +78,9 @@ type ArcScheduler interface {
 }
 
 // Observer is notified after each interaction with the index of a touched
-// agent and its states before and after the transition. It is invoked for
-// both participants of every interaction.
+// agent and its states before and after it — after is the state the
+// engine wrote, so a stuck agent's after equals its before. It is invoked
+// for both participants of every interaction, initiator first.
 type Observer[S any] func(agent int, before, after S)
 
 // Engine simulates one execution of a protocol on a topology.
@@ -104,8 +109,7 @@ type Engine[S any] struct {
 	leaderHook func(step uint64, leaders int)
 
 	// sched is the installed arc scheduler, nil for the default uniform
-	// distribution. Every draw path branches on nil exactly once per
-	// draw or batch, so the probe-less uniform hot path is unchanged.
+	// distribution. refillPending branches on nil once per batch.
 	// schedNext caches sched.NextTransition so batch clamping is a
 	// subtraction, not an interface call.
 	sched     ArcScheduler
@@ -120,11 +124,11 @@ type Engine[S any] struct {
 	// updates normally). nil when no agents are stuck.
 	frozen []bool
 
-	// pending holds arc draws made by RunUntilConverged's batched RNG
-	// calls but not yet executed (a run converges mid-batch). Every
-	// drawing path consumes them before touching the RNG again, so the
-	// arc sequence an engine executes is always the serial Intn stream of
-	// its seed — convergence detection never perturbs later draws.
+	// pending holds arc draws made by refillPending's batched RNG calls
+	// but not yet executed (a run converged mid-batch). The draw loop
+	// consumes them before touching the RNG again, so the arc sequence an
+	// engine executes is always the serial Intn stream of its seed —
+	// convergence detection never perturbs later draws.
 	pendBuf            [arcBatch]int32
 	pendStart, pendEnd int
 
@@ -216,8 +220,8 @@ func (e *Engine[S]) SetObserver(obs Observer[S]) { e.observer = obs }
 
 // SetTracker installs an incremental convergence tracker, immediately reset
 // against the current configuration; pass nil to remove it. While installed
-// the tracker is kept in sync by every execution path — Step, Run, RunBatch
-// and deterministic schedules alike — at O(1) cost per interaction, and
+// the tracker is kept in sync by every execution path — Step, Run and
+// deterministic schedules alike — at O(1) cost per interaction, and
 // RunUntilConverged uses it to report exact hitting times. State installs
 // through SetStates/SetState reset it lazily before the next interaction.
 func (e *Engine[S]) SetTracker(t ConvergenceTracker[S]) {
@@ -234,8 +238,8 @@ func (e *Engine[S]) SetTracker(t ConvergenceTracker[S]) {
 // It fires only for interaction-driven changes (state installs through
 // SetStates/SetState are the caller's own doing and are not reported);
 // leader tracking must be enabled. Pass nil to remove it. The hook adds no
-// work to interactions that leave the leader set unchanged, so the batched
-// hot paths keep their throughput.
+// work to interactions that leave the leader set unchanged, so the hot
+// paths keep their throughput.
 func (e *Engine[S]) SetLeaderHook(fn func(step uint64, leaders int)) { e.leaderHook = fn }
 
 // SetScheduler installs an arc scheduler; pass nil to restore the
@@ -256,7 +260,7 @@ func (e *Engine[S]) SetScheduler(s ArcScheduler) {
 // and the phase that begins there. Transitions are detected when the
 // draw stream reaches the boundary, so a run that converges short of
 // one never fires it. Pass nil to remove. The hook costs nothing on the
-// uniform path: the default and Uniform schedulers have no transitions.
+// default uniform path, which has no transitions.
 func (e *Engine[S]) SetEpochHook(fn func(step uint64, epoch int, eclipsed bool)) {
 	e.epochHook = fn
 }
@@ -362,26 +366,39 @@ func (e *Engine[S]) LastLeaderChange() uint64 { return e.lastLeaderChange }
 // LeaderChanges returns how many interactions changed the leader set.
 func (e *Engine[S]) LeaderChanges() uint64 { return e.leaderChanges }
 
-// Step executes one scheduler step: a uniformly random arc interacts.
-func (e *Engine[S]) Step() {
-	e.applyArc(e.drawArc())
-}
+// Step executes one scheduler step: the next scheduled arc interacts.
+func (e *Engine[S]) Step() { e.run(e.step+1, false) }
 
-// drawArc returns the next scheduler arc index: a buffered draw left over
-// from a convergence run if one exists, else a fresh RNG draw.
-func (e *Engine[S]) drawArc() int {
-	if e.pendStart < e.pendEnd {
-		k := int(e.pendBuf[e.pendStart])
+// Run executes exactly steps scheduler steps.
+func (e *Engine[S]) Run(steps uint64) { e.run(e.step+steps, false) }
+
+// arcBatch is the number of arc indices refillPending draws per RNG call —
+// large enough to amortize call overhead, small enough to stay in L1.
+const arcBatch = 256
+
+// run is the engine's one draw loop, behind Step, Run and
+// RunUntilConverged: it executes scheduler steps until the step count
+// reaches limit or, when converge is set, until the installed tracker
+// reports convergence, and returns whether it did. Arcs come from the
+// pending buffer, refilled in batches of at most the steps still owed, so
+// a run never draws past its limit; only a mid-batch convergence leaves
+// draws pending, and every later run executes those first. The executed
+// arc sequence is therefore always the serial Intn stream of the seed
+// (FillIntn draws exactly that stream), whatever mix of entry points
+// drives the engine.
+func (e *Engine[S]) run(limit uint64, converge bool) bool {
+	for e.step < limit {
+		if e.pendStart == e.pendEnd {
+			e.refillPending(limit - e.step)
+		}
+		arc := e.topo.Arcs[e.pendBuf[e.pendStart]]
 		e.pendStart++
-		return k
+		e.applyPair(arc[0], arc[1])
+		if converge && e.tracker.Converged() {
+			return true
+		}
 	}
-	if e.sched == nil {
-		return e.rng.Intn(len(e.topo.Arcs))
-	}
-	e.schedCross()
-	var one [1]int32
-	e.sched.Fill(e.rng, e.step, one[:])
-	return int(one[0])
+	return false
 }
 
 // schedCross fires the epoch hook for every scheduler phase boundary at
@@ -400,11 +417,10 @@ func (e *Engine[S]) schedCross() {
 
 // refillPending refills the pending-draw buffer with up to want draws
 // for the steps starting at the current step count. With no scheduler
-// installed this is the historical uniform batch — one FillIntn over
-// min(want, arcBatch) slots, byte-identical to the pre-scheduler
-// engine. With one installed, the batch is additionally clamped at the
-// scheduler's next phase boundary so a single Fill never spans two
-// distributions. want must be at least 1.
+// installed this is the uniform batch — one FillIntn over
+// min(want, arcBatch) slots. With one installed, the batch is
+// additionally clamped at the scheduler's next phase boundary so a single
+// Fill never spans two distributions. want must be at least 1.
 func (e *Engine[S]) refillPending(want uint64) {
 	batch := uint64(arcBatch)
 	if want < batch {
@@ -425,28 +441,20 @@ func (e *Engine[S]) refillPending(want uint64) {
 // ApplyArc forces the interaction on arc k of the topology. It is used by
 // deterministic-schedule tests (for example, the Figure 2 trajectory).
 func (e *Engine[S]) ApplyArc(k int) {
-	e.applyArc(k)
+	arc := e.topo.Arcs[k]
+	e.applyPair(arc[0], arc[1])
 }
 
-func (e *Engine[S]) applyArc(k int) {
+// applyPair executes the interaction on the arc (li, ri): the transition,
+// the stuck-agent mask, the step counter, tracker and leader accounting,
+// the leader hook, and last the observer, which sees each agent's
+// post-freeze state. It is the engine's only per-interaction body: run,
+// ApplyArc and the interned layer's generic steps all go through it.
+func (e *Engine[S]) applyPair(li, ri int32) {
 	if e.leaderDirty {
 		e.recountLeaders()
 	}
-	arc := e.topo.Arcs[k]
-	li, ri := arc[0], arc[1]
 	lb, rb := e.states[li], e.states[ri]
-	e.applyPair(li, ri, lb, rb)
-	if e.observer != nil {
-		e.observer(int(li), lb, e.states[li])
-		e.observer(int(ri), rb, e.states[ri])
-	}
-}
-
-// applyPair executes the transition on the arc (li, ri) with pre-states
-// (lb, rb) and maintains the step counter and leader accounting. It is the
-// single copy of the interaction bookkeeping shared by the step-at-a-time
-// and batched paths; callers handle the dirty check and observer dispatch.
-func (e *Engine[S]) applyPair(li, ri int32, lb, rb S) {
 	la, ra := e.trans(lb, rb)
 	if e.frozen != nil {
 		// Stuck agents keep their pre-state; the partner's update stands.
@@ -462,33 +470,29 @@ func (e *Engine[S]) applyPair(li, ri int32, lb, rb S) {
 	if e.tracker != nil {
 		e.syncTracker(li, ri)
 	}
-	if e.isLeader == nil {
-		return
-	}
-	changed := false
-	if wl, il := e.isLeader(lb), e.isLeader(la); wl != il {
-		changed = true
-		if il {
-			e.leaderCount++
-		} else {
-			e.leaderCount--
+	if e.isLeader != nil {
+		wl, il := e.isLeader(lb), e.isLeader(la)
+		wr, ir := e.isLeader(rb), e.isLeader(ra)
+		if wl != il || wr != ir {
+			e.leaderCount += btoi(il) - btoi(wl) + btoi(ir) - btoi(wr)
+			e.lastLeaderChange = e.step
+			e.leaderChanges++
+			if e.leaderHook != nil {
+				e.leaderHook(e.step, e.leaderCount)
+			}
 		}
 	}
-	if wr, ir := e.isLeader(rb), e.isLeader(ra); wr != ir {
-		changed = true
-		if ir {
-			e.leaderCount++
-		} else {
-			e.leaderCount--
-		}
+	if e.observer != nil {
+		e.observer(int(li), lb, la)
+		e.observer(int(ri), rb, ra)
 	}
-	if changed {
-		e.lastLeaderChange = e.step
-		e.leaderChanges++
-		if e.leaderHook != nil {
-			e.leaderHook(e.step, e.leaderCount)
-		}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // syncTracker brings the tracker up to date after the interaction on
@@ -502,77 +506,6 @@ func (e *Engine[S]) syncTracker(li, ri int32) {
 		return
 	}
 	e.tracker.Update(li, ri)
-}
-
-// Run executes exactly steps scheduler steps. When no observer is installed
-// it takes the RunBatch fast path; the random arc sequence is identical
-// either way.
-func (e *Engine[S]) Run(steps uint64) {
-	if e.observer == nil {
-		e.RunBatch(steps)
-		return
-	}
-	for i := uint64(0); i < steps; i++ {
-		e.Step()
-	}
-}
-
-// arcBatch is the number of random arc indices drawn per RNG call in
-// RunBatch — large enough to amortize call overhead, small enough to stay in
-// L1 on the stack.
-const arcBatch = 256
-
-// RunBatch executes exactly steps scheduler steps on the hot path: arc draws
-// are batched through xrand.RNG.FillIntn and observer dispatch is skipped
-// entirely (any installed observer is NOT notified — callers that need
-// observation must use Run or Step). The RNG stream and all state,
-// leader-tracking, and step accounting are bit-for-bit identical to the
-// step-at-a-time path.
-func (e *Engine[S]) RunBatch(steps uint64) {
-	if e.leaderDirty {
-		e.recountLeaders()
-	}
-	for steps > 0 && e.pendStart < e.pendEnd {
-		// Buffered draws from an earlier convergence run come first, so
-		// the executed arc sequence stays the serial stream of the seed.
-		arc := e.topo.Arcs[e.pendBuf[e.pendStart]]
-		e.pendStart++
-		li, ri := arc[0], arc[1]
-		e.applyPair(li, ri, e.states[li], e.states[ri])
-		steps--
-	}
-	if e.sched != nil {
-		// Scheduler-aware batches go through the pending buffer so phase
-		// clamping and epoch events live in one place (refillPending).
-		for steps > 0 {
-			e.refillPending(steps)
-			drew := uint64(e.pendEnd)
-			for _, k := range e.pendBuf[:e.pendEnd] {
-				arc := e.topo.Arcs[k]
-				li, ri := arc[0], arc[1]
-				e.applyPair(li, ri, e.states[li], e.states[ri])
-			}
-			e.pendStart = e.pendEnd
-			steps -= drew
-		}
-		return
-	}
-	var buf [arcBatch]int32
-	nArcs := len(e.topo.Arcs)
-	for steps > 0 {
-		batch := uint64(arcBatch)
-		if steps < batch {
-			batch = steps
-		}
-		draws := buf[:batch]
-		e.rng.FillIntn(nArcs, draws)
-		for _, k := range draws {
-			arc := e.topo.Arcs[k]
-			li, ri := arc[0], arc[1]
-			e.applyPair(li, ri, e.states[li], e.states[ri])
-		}
-		steps -= batch
-	}
 }
 
 // RunUntil runs until pred holds over the configuration, checking every
@@ -610,11 +543,11 @@ func (e *Engine[S]) RunUntil(pred func([]S) bool, checkEvery int, maxSteps uint6
 // evaluated after every single step through the tracker's O(1) counters,
 // so for a closed predicate the returned step is the exact hitting time —
 // no checkEvery quantization. The arc sequence executed is identical to
-// Run/RunBatch for the same RNG state; on mid-batch convergence the
+// Run and Step for the same RNG state; on mid-batch convergence the
 // remaining pre-drawn arcs stay buffered and are executed first by any
-// later Step/Run/RunBatch call, so continued use of the engine (fault
-// loops re-running to convergence, say) still follows the serial stream
-// of the seed.
+// later Step/Run call, so continued use of the engine (fault loops
+// re-running to convergence, say) still follows the serial stream of the
+// seed.
 //
 // It panics if no tracker is installed.
 func (e *Engine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
@@ -628,32 +561,8 @@ func (e *Engine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 	if e.tracker.Converged() {
 		return e.step, true
 	}
-	if e.observer != nil {
-		// Observer dispatch forces the step-at-a-time path, exactly as Run.
-		for e.step < maxSteps {
-			e.Step()
-			if e.tracker.Converged() {
-				return e.step, true
-			}
-		}
-		return e.step, false
-	}
-	if e.leaderDirty {
-		e.recountLeaders()
-	}
-	for e.step < maxSteps {
-		if e.pendStart == e.pendEnd {
-			e.refillPending(maxSteps - e.step)
-		}
-		arc := e.topo.Arcs[e.pendBuf[e.pendStart]]
-		e.pendStart++
-		li, ri := arc[0], arc[1]
-		e.applyPair(li, ri, e.states[li], e.states[ri])
-		if e.tracker.Converged() {
-			return e.step, true
-		}
-	}
-	return e.step, false
+	ok := e.run(maxSteps, true)
+	return e.step, ok
 }
 
 // ScheduleSeqR returns the arc indices of the paper's seq_R(i, j) on a
@@ -680,7 +589,7 @@ func ScheduleSeqL(n, i, j int) []int {
 // ApplySchedule forces the given interactions in order.
 func (e *Engine[S]) ApplySchedule(arcs []int) {
 	for _, k := range arcs {
-		e.applyArc(k)
+		e.ApplyArc(k)
 	}
 }
 

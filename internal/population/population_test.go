@@ -188,8 +188,8 @@ func TestRunUntilImmediate(t *testing.T) {
 	}
 }
 
-func TestRunBatchMatchesStepLoop(t *testing.T) {
-	// The batched fast path must replay the exact arc sequence and leader
+func TestRunMatchesStepLoop(t *testing.T) {
+	// Run's batched draws must replay the exact arc sequence and leader
 	// accounting of the step-at-a-time path.
 	isLeader := func(s counterState) bool { return s.leader }
 	for _, steps := range []uint64{0, 1, 255, 256, 257, 5000} {
@@ -200,7 +200,7 @@ func TestRunBatchMatchesStepLoop(t *testing.T) {
 		}
 		batched := NewEngine(DirectedRing(9), countTransition, xrand.New(21))
 		batched.TrackLeaders(isLeader)
-		batched.RunBatch(steps)
+		batched.Run(steps)
 		if serial.Steps() != batched.Steps() {
 			t.Fatalf("steps=%d: step counters diverged: %d vs %d", steps, serial.Steps(), batched.Steps())
 		}
@@ -218,13 +218,13 @@ func TestRunBatchMatchesStepLoop(t *testing.T) {
 	}
 }
 
-func TestRunBatchUntrackedMatchesStepLoop(t *testing.T) {
+func TestRunUntrackedMatchesStepLoop(t *testing.T) {
 	serial := NewEngine(DirectedRing(7), countTransition, xrand.New(33))
 	for i := 0; i < 4000; i++ {
 		serial.Step()
 	}
 	batched := NewEngine(DirectedRing(7), countTransition, xrand.New(33))
-	batched.RunBatch(4000)
+	batched.Run(4000)
 	a, b := serial.Snapshot(), batched.Snapshot()
 	for i := range a {
 		if a[i] != b[i] {
@@ -300,22 +300,45 @@ func TestSeqRTouchesEveryAgent(t *testing.T) {
 	}
 }
 
+// TestObserver pins the observer dispatch every entry point shares: Run,
+// Step and ApplyArc notify both agents of each interaction once, with the
+// state the engine wrote — for a stuck agent, its unchanged pre-state.
 func TestObserver(t *testing.T) {
 	e := NewEngine(DirectedRing(4), countTransition, xrand.New(8))
-	touched := make(map[int]int)
+	frozen := make([]bool, 4)
+	calls, frozenCalls := 0, 0
 	e.SetObserver(func(agent int, before, after counterState) {
-		touched[agent]++
-		if after.count != before.count+1 {
+		calls++
+		if after != e.State(agent) {
+			t.Fatalf("observer saw agent %d after=%+v, engine wrote %+v", agent, after, e.State(agent))
+		}
+		if frozen[agent] {
+			frozenCalls++
+			if after != before {
+				t.Fatalf("frozen agent %d changed: %+v -> %+v", agent, before, after)
+			}
+		} else if after.count != before.count+1 {
 			t.Fatalf("observer saw inconsistent states: %+v -> %+v", before, after)
 		}
 	})
 	e.Run(100)
-	total := 0
-	for _, c := range touched {
-		total += c
+	for i := 0; i < 10; i++ {
+		e.Step()
 	}
-	if total != 200 {
-		t.Fatalf("observer calls = %d, want 200", total)
+	e.ApplyArc(2)
+	if calls != 2*111 {
+		t.Fatalf("observer calls = %d, want %d", calls, 2*111)
+	}
+	frozen[1] = true
+	e.SetFrozen(frozen)
+	e.ApplyArc(0) // agent 1 stuck as the responder
+	e.ApplyArc(1) // and as the initiator
+	e.Run(50)
+	if calls != 2*163 {
+		t.Fatalf("observer calls = %d, want %d", calls, 2*163)
+	}
+	if frozenCalls < 2 {
+		t.Fatalf("frozen agent observed %d times, want at least 2", frozenCalls)
 	}
 }
 

@@ -145,9 +145,10 @@ func TestRunUntilConvergedPanicsWithoutTracker(t *testing.T) {
 	e.RunUntilConverged(10)
 }
 
-// TestRunUntilConvergedWithObserver pins the step-at-a-time fallback: an
-// installed observer (the oracle protocols' census) must keep firing while
-// the tracker judges convergence, with the identical arc stream.
+// TestRunUntilConvergedWithObserver pins observation under a convergence
+// run: an installed observer (the oracle protocols' census) must keep
+// firing while the tracker judges convergence, with the identical arc
+// stream.
 func TestRunUntilConvergedWithObserver(t *testing.T) {
 	pred := func(cfg []counterState) bool {
 		for _, s := range cfg {
@@ -227,7 +228,7 @@ func TestPendingDrawsKeepStreamSerial(t *testing.T) {
 	if !ok {
 		t.Fatal("no convergence")
 	}
-	tracked.Run(500) // continue through RunBatch: drains the buffer first
+	tracked.Run(500) // continue through Run: drains the buffer first
 	tracked.SetTracker(nil)
 	for i := 0; i < 300; i++ { // and through Step
 		tracked.Step()

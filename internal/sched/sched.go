@@ -6,7 +6,8 @@
 // engine's batched-draw discipline (one Fill call amortizes per-draw
 // overhead exactly like xrand.FillIntn).
 //
-// The contract is step-indexed and serial: a scheduler is a pure
+// Every scheduler here implements population.ArcScheduler, whose
+// contract is step-indexed and serial: a scheduler is a pure
 // function of (step index, RNG stream position), so a batch Fill for
 // steps [s, s+k) draws exactly the same RNG stream as k successive
 // single-element Fills. Phase changes (an eclipse opening or closing)
@@ -17,49 +18,8 @@
 // built once per trial and never shared across goroutines.
 package sched
 
-import (
-	"math"
-
-	"repro/internal/xrand"
-)
-
-// A Scheduler chooses, for each step index, which arc interacts next.
-//
-// Fill writes len(out) arc indices for the consecutive steps
-// [step, step+len(out)). The caller guarantees the whole batch lies in
-// one phase: step+len(out) <= NextTransition(step). Draws must consume
-// the RNG serially so batch boundaries never change the stream.
-//
-// NextTransition returns the smallest step index > step at which the
-// arc distribution changes, or math.MaxUint64 if it never does.
-//
-// Phase reports the epoch ordinal in effect at step (0 before the first
-// transition, incrementing at each one) and whether the phase is an
-// eclipse (some arcs are dead).
-type Scheduler interface {
-	Fill(rng *xrand.RNG, step uint64, out []int32)
-	NextTransition(step uint64) uint64
-	Phase(step uint64) (epoch int, eclipsed bool)
-}
+import "math"
 
 // Never is the NextTransition value of schedulers whose distribution is
 // constant over the whole run.
 const Never = math.MaxUint64
-
-// Uniform is the default scheduler: every arc equally likely at every
-// step. Its Fill delegates to xrand.FillIntn, so a Uniform scheduler
-// reproduces the engine's historical draw stream byte-identically.
-type Uniform struct {
-	NArcs int
-}
-
-// Fill draws len(out) uniform arc indices.
-func (u Uniform) Fill(rng *xrand.RNG, _ uint64, out []int32) {
-	rng.FillIntn(u.NArcs, out)
-}
-
-// NextTransition reports that the distribution never changes.
-func (u Uniform) NextTransition(uint64) uint64 { return Never }
-
-// Phase reports the single everlasting epoch.
-func (u Uniform) Phase(uint64) (int, bool) { return 0, false }

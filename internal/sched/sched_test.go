@@ -7,31 +7,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestUniformStreamIdentity: Uniform.Fill must consume and produce the
-// exact stream of xrand.FillIntn — that identity is what makes the
-// explicit uniform scheduler byte-compatible with the engine's default
-// draw path.
-func TestUniformStreamIdentity(t *testing.T) {
-	const n = 37
-	a := xrand.New(42)
-	b := xrand.New(42)
-	var got, want [1000]int32
-	u := Uniform{NArcs: n}
-	// Mixed batch sizes: identity must hold regardless of batching.
-	for _, batch := range []int{1, 7, 256, 256, 480} {
-		u.Fill(a, 0, got[:batch])
-		b.FillIntn(n, want[:batch])
-		for i := 0; i < batch; i++ {
-			if got[i] != want[i] {
-				t.Fatalf("batch %d: draw %d: got %d want %d", batch, i, got[i], want[i])
-			}
-		}
-	}
-	if u.NextTransition(0) != Never {
-		t.Fatalf("uniform must never transition")
-	}
-}
-
 // TestBiasedDeterminismAndSupport: same seed twice gives the same
 // stream regardless of batch split, and draws stay in range with the
 // hot arcs actually favored.

@@ -8,18 +8,17 @@ import (
 )
 
 // uniformSpec is the explicit-uniform scenario of the differential tests:
-// the same arc distribution as the default fast path, but drawn through
-// the scheduler plumbing.
+// the same arc distribution as the default path, named through the
+// scheduler spec.
 func uniformSpec() Scenario {
 	return Scenario{Sched: &SchedulerSpec{Kind: "uniform"}}
 }
 
 // assertUniformEqual pins a default-scheduler run and an explicit-uniform
 // run of the same cell to bit-identical results — TrialResult and the
-// full typed event stream — on one engine (generic or interned). The
-// Uniform scheduler draws the byte-identical RNG stream the engine's
-// built-in fast path draws, so any divergence is a bug in the scheduler
-// plumbing, not noise.
+// full typed event stream — on one engine (generic or interned). An
+// explicit "uniform" spec must select the engine's default draws, so any
+// divergence is a bug in the scheduler plumbing, not noise.
 func assertUniformEqual(t *testing.T, name string, n int, seed uint64, generic bool) {
 	t.Helper()
 	defRes, defProbe := runDiffTrial(t, name, Scenario{}, n, seed, generic)
@@ -98,8 +97,8 @@ type benchFile struct {
 }
 
 // TestUniformReproducesBenchBaselineHittingTimes replays every tracked
-// row of the committed perf baseline through the explicit Uniform
-// scheduler: the exact convergence step counts recorded in
+// row of the committed perf baseline through the explicit "uniform"
+// scheduler spec: the exact convergence step counts recorded in
 // BENCH_baseline.json (deterministic in the seed, machine-independent)
 // must come back unchanged, on both engines. This ties the scheduler
 // plumbing to a committed artifact produced before the subsystem

@@ -16,16 +16,14 @@ import (
 // eclipses of an arc interval) plus churn (agents joining and leaving
 // mid-run) and stuck agents. A nil spec — and the zero Scenario — is
 // the historical uniform-random scheduler on a static ring, down to the
-// exact RNG stream; an explicit "uniform" kind draws the byte-identical
-// stream through the scheduler plumbing (pinned by the differential
-// tests). Like InitClass and Topology, the spec round-trips through
-// JSON and is part of the scenario's identity — the service's cell
-// digests cover it, so scheduler-differing jobs never alias in the
-// cache.
+// exact RNG stream; an explicit "uniform" kind names that same default
+// (pinned by the differential tests). Like InitClass and Topology, the
+// spec round-trips through JSON and is part of the scenario's identity —
+// the service's cell digests cover it, so scheduler-differing jobs never
+// alias in the cache.
 type SchedulerSpec struct {
-	// Kind selects the arc distribution: "" (default uniform fast path),
-	// "uniform" (explicit uniform through the scheduler plumbing),
-	// "biased" or "eclipse".
+	// Kind selects the arc distribution: "" or "uniform" (the engine's
+	// default uniform draws), "biased" or "eclipse".
 	Kind string `json:"kind,omitempty"`
 
 	// Family selects the biased weight family: "hotspot" (the first
@@ -141,18 +139,17 @@ func (s *SchedulerSpec) sortedChurn() []ChurnEvent {
 }
 
 // compileArcSched builds the spec's arc scheduler for a ring with nArcs
-// arcs, or nil when the default uniform fast path should run (nil spec
-// or empty kind). The spec must have passed Validate; the remaining
-// failure modes are impossible for validated specs, so they panic.
+// arcs, or nil when the engine's default uniform draws should run (nil
+// spec, empty kind or "uniform"). The spec must have passed Validate;
+// the remaining failure modes are impossible for validated specs, so
+// they panic.
 func (s *SchedulerSpec) compileArcSched(nArcs int) population.ArcScheduler {
 	if s == nil {
 		return nil
 	}
 	switch s.Kind {
-	case "":
+	case "", "uniform":
 		return nil
-	case "uniform":
-		return sched.Uniform{NArcs: nArcs}
 	case "biased":
 		var weights []float64
 		if s.Family == "hotspot" {

@@ -12,7 +12,7 @@ import (
 )
 
 // gzipRecords builds a well-formed gzip JSONL artifact with n records.
-func gzipRecords(t *testing.T, n int) []byte {
+func gzipRecords(t testing.TB, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
@@ -70,4 +70,56 @@ func TestReadTrialRecordsTruncatedGzip(t *testing.T) {
 	if _, err := repro.ReadTrialRecords(bytes.NewReader(whole[:3])); !errors.Is(err, repro.ErrTruncatedRecords) {
 		t.Fatalf("3-byte header: err = %v, want ErrTruncatedRecords", err)
 	}
+}
+
+// FuzzDecodeTrialRecords runs the record-stream decoder over plain and
+// gzip bytes: no input panics, and whatever decodes re-encodes through
+// WriteTrialRecords into canonical bytes that decode back to records which
+// re-encode byte-identically. The seeds run under plain go test.
+func FuzzDecodeTrialRecords(f *testing.F) {
+	var canon bytes.Buffer
+	if err := repro.WriteTrialRecords(&canon, []repro.TrialRecord{
+		{
+			Protocol: "ppl", N: 8, Seed: 1, Steps: 120, Stabilized: 90, Converged: true,
+			Tags:        map[string]string{"mode": "tracked"},
+			Observables: map[string]float64{"steps": 120, "peak_leaders": 3},
+			Series:      map[string][]repro.SeriesPoint{"leaders": {{Step: 0, Value: 3}, {Step: 90, Value: 1}}},
+		},
+		{Protocol: "fj", N: 16, Trial: 1, Seed: 2},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	gz := gzipRecords(f, 3)
+	for _, seed := range [][]byte{
+		canon.Bytes(),
+		gz,
+		gz[:len(gz)-5],
+		bytes.Repeat(gz, 2),
+		[]byte("\n\n{}\nnull\n"),
+		[]byte(`{"n":"eight"}`),
+		{0x1f, 0x8b},
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := repro.ReadTrialRecords(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var canon, again bytes.Buffer
+		if err := repro.WriteTrialRecords(&canon, recs); err != nil {
+			t.Fatalf("decoded records do not re-encode: %v", err)
+		}
+		back, err := repro.ReadTrialRecords(bytes.NewReader(canon.Bytes()))
+		if err != nil {
+			t.Fatalf("canonical records %q do not decode: %v", canon.Bytes(), err)
+		}
+		if err := repro.WriteTrialRecords(&again, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), canon.Bytes()) {
+			t.Fatalf("round trip changed the bytes:\n%s\nvs\n%s", canon.Bytes(), again.Bytes())
+		}
+	})
 }
