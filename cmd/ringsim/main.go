@@ -13,9 +13,14 @@
 //
 // Protocols: any registered name — ppl (the paper's P_PL), yokota [28],
 // angluin [5], fj [15], chenchen [11], orient (Section 5 ring
-// orientation). Initial configurations (ppl only): random, noleader,
-// allleaders, corrupted, noleadercold. -faults injects mid-run bursts of
-// the form agents@step.
+// orientation; it also prints the agreed direction). Initial
+// configurations (ppl only): random, noleader, allleaders, corrupted,
+// noleadercold. -faults injects mid-run bursts of the form agents@step.
+//
+// -stats (per-phase event counters and a final snapshot) and -v (the
+// final configuration as a segment diagram) apply to ppl. Both observe
+// the reported trial itself, under every scheduler, churn, stuck-agent
+// and fault flag.
 //
 // -sched selects the arc scheduler (uniform | hotspot:arcs=K,weight=W |
 // ramp:weight=W | eclipse:period=P,duration=D,arcs=K[,offset=O][,start=S]);
@@ -34,46 +39,52 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/orient"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ringsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line in args and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ringsim", flag.ExitOnError)
 	var (
-		proto   = flag.String("proto", "ppl", "protocol: "+strings.Join(repro.Protocols(), ", "))
-		n       = flag.Int("n", 64, "ring size")
-		seed    = flag.Uint64("seed", 1, "scheduler seed")
-		init    = flag.String("init", "random", "ppl initial configuration: random, noleader, allleaders, corrupted, noleadercold")
-		c1      = flag.Int("c1", core.DefaultC1, "κ_max multiplier (ppl)")
-		slack   = flag.Int("slack", 0, "ψ slack (ppl)")
-		faults  = flag.String("faults", "", "fault schedule, comma-separated agents@step bursts")
-		sched   = flag.String("sched", "", "arc scheduler: uniform, hotspot:arcs=K,weight=W, ramp:weight=W, eclipse:period=P,duration=D,arcs=K[,offset=O][,start=S]")
-		churn   = flag.String("churn", "", "churn schedule, comma-separated del<K>@<step> / add<K>@<step> events")
-		stuck   = flag.Int("stuck", 0, "freeze this many randomly chosen agents for the whole trial")
-		maxst   = flag.Int("maxstates", 0, "interner capacity cap (0 = engine default; interned runs fall back to the generic engine past it)")
-		verbose = flag.Bool("v", false, "print the final configuration (ppl)")
-		stat    = flag.Bool("stats", false, "print event counters and a final snapshot (ppl)")
-		trials  = flag.Int("trials", 1, "number of repetitions (seeds seed..seed+trials-1, run in parallel)")
-		workers = flag.Int("workers", 0, "trial worker-pool size (0 = all cores)")
-		record  = flag.String("record", "", "stream per-trial records as JSONL to this file")
+		proto   = fs.String("proto", "ppl", "protocol: "+strings.Join(repro.Protocols(), ", "))
+		n       = fs.Int("n", 64, "ring size")
+		seed    = fs.Uint64("seed", 1, "scheduler seed")
+		init    = fs.String("init", "random", "ppl initial configuration: random, noleader, allleaders, corrupted, noleadercold")
+		c1      = fs.Int("c1", core.DefaultC1, "κ_max multiplier (ppl)")
+		slack   = fs.Int("slack", 0, "ψ slack (ppl)")
+		faults  = fs.String("faults", "", "fault schedule, comma-separated agents@step bursts")
+		sched   = fs.String("sched", "", "arc scheduler: uniform, hotspot:arcs=K,weight=W, ramp:weight=W, eclipse:period=P,duration=D,arcs=K[,offset=O][,start=S]")
+		churn   = fs.String("churn", "", "churn schedule, comma-separated del<K>@<step> / add<K>@<step> events")
+		stuck   = fs.Int("stuck", 0, "freeze this many randomly chosen agents for the whole trial")
+		maxst   = fs.Int("maxstates", 0, "interner capacity cap (0 = engine default; interned runs fall back to the generic engine past it)")
+		verbose = fs.Bool("v", false, "print the reported trial's final configuration (ppl)")
+		stat    = fs.Bool("stats", false, "print the reported trial's event counters and final snapshot (ppl)")
+		trials  = fs.Int("trials", 1, "number of repetitions (seeds seed..seed+trials-1, run in parallel)")
+		workers = fs.Int("workers", 0, "trial worker-pool size (0 = all cores)")
+		record  = fs.String("record", "", "stream per-trial records as JSONL to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sc, err := scenarioFor(*init, *faults, *sched, *churn, *stuck)
 	if err == nil {
@@ -82,14 +93,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The direction-printing single-run path only covers the default
-	// scenario; with -faults, a scheduler spec, a non-random -init or
-	// -record, orient goes through the generic Protocol path so the
-	// scenario (and the probe) actually applies.
-	if *proto == "orient" && *trials <= 1 && len(sc.Faults) == 0 && sc.Init == repro.InitRandom && sc.Sched == nil && *record == "" {
-		return runOrient(*n, *seed)
-	}
-
 	p, err := protocolFor(*proto, *slack, *c1)
 	if err != nil {
 		return err
@@ -97,84 +100,118 @@ func run() error {
 	info := p.Info()
 	size := p.FixSize(*n)
 	if size != *n {
-		fmt.Printf("note: ring size adjusted to %d for %s\n", size, info.Name)
+		fmt.Fprintf(w, "note: ring size adjusted to %d for %s\n", size, info.Name)
 	}
 	if *trials > 1 {
 		if *verbose || *stat {
-			fmt.Println("note: -v and -stats apply to single trials only; ignored with -trials > 1")
+			fmt.Fprintln(w, "note: -v and -stats apply to single trials only; ignored with -trials > 1")
 		}
-		return runRepeated(p, sc, size, *seed, *trials, *workers, *record)
+		return runRepeated(w, p, sc, size, *seed, *trials, *workers, *record)
 	}
 	// The single-trial path always runs probed: the record costs nothing
 	// measurable here and the recovery observable improves the output.
 	probe := &repro.RecordingProbe{}
-	res, err := repro.ProbeTrial(p, sc, size, *seed, probe)
+	var (
+		res       repro.TrialResult
+		direction string // orient: the agreed direction
+		detail    string // ppl: the -stats and -v blocks
+	)
+	switch {
+	case *proto == "ppl" && (*stat || *verbose):
+		res, detail, err = trialPPL(p, sc, size, *seed, probe, core.NewParamsSlack(size, *slack, *c1), *stat, *verbose)
+	case *proto == "orient":
+		var final []orient.State
+		res, final, err = repro.ObserveTrial[orient.State](p, sc, size, *seed, probe, nil)
+		direction = "counter-clockwise"
+		if err == nil && orient.Clockwise(final) {
+			direction = "clockwise"
+		}
+	default:
+		res, err = repro.ProbeTrial(p, sc, size, *seed, probe)
+	}
 	if err != nil {
 		return err
 	}
 	rec := probe.Record()
 	if *record != "" {
-		if err := writeRecords(*record, []repro.TrialRecord{rec}); err != nil {
+		if err := writeRecords(w, *record, []repro.TrialRecord{rec}); err != nil {
 			return err
 		}
 	}
 	maxSteps := sc.MaxSteps(p, size)
-	fmt.Printf("protocol    : %s\n", info.Name)
-	fmt.Printf("assumption  : %s\n", info.Assumption)
-	fmt.Printf("ring size   : %d\n", size)
-	fmt.Printf("|Q|         : %d states/agent\n", p.States(size))
+	fmt.Fprintf(w, "protocol    : %s\n", info.Name)
+	fmt.Fprintf(w, "assumption  : %s\n", info.Assumption)
+	fmt.Fprintf(w, "ring size   : %d\n", size)
+	fmt.Fprintf(w, "|Q|         : %d states/agent\n", p.States(size))
 	if !res.Converged {
 		return fmt.Errorf("did not converge within %d steps", maxSteps)
 	}
-	fmt.Printf("safe after  : %d steps\n", res.Steps)
-	fmt.Printf("output fixed: step %d (last leader change)\n", res.Stabilized)
+	fmt.Fprintf(w, "safe after  : %d steps\n", res.Steps)
+	if _, leaders := rec.Observables["leaders_final"]; leaders {
+		fmt.Fprintf(w, "output fixed: step %d (last leader change)\n", res.Stabilized)
+	}
+	if direction != "" {
+		fmt.Fprintf(w, "direction   : %s\n", direction)
+	}
 	// Gate on a burst having actually fired (fault_bursts), not on the
 	// schedule: a burst past the step budget never installs, and recovery
 	// would then just be the whole run.
 	if _, fired := rec.Observables["fault_bursts"]; fired {
 		if rc, ok := rec.Observables["recovery_steps"]; ok {
-			fmt.Printf("recovery    : %.0f steps after the last fault burst\n", rc)
+			fmt.Fprintf(w, "recovery    : %.0f steps after the last fault burst\n", rc)
 		}
 	}
-	if w, saw := rec.Observables["eclipse_windows"]; saw {
+	if ws, saw := rec.Observables["eclipse_windows"]; saw {
 		if rc, ok := rec.Observables["eclipse_recovery_steps"]; ok {
-			fmt.Printf("eclipse     : %.0f steps to re-converge after the last of %.0f window(s) closed\n", rc, w)
+			fmt.Fprintf(w, "eclipse     : %.0f steps to re-converge after the last of %.0f window(s) closed\n", rc, ws)
 		} else {
-			fmt.Printf("eclipse     : converged inside a window (%.0f window(s) entered)\n", w)
+			fmt.Fprintf(w, "eclipse     : converged inside a window (%.0f window(s) entered)\n", ws)
 		}
 	}
 	if ce, saw := rec.Observables["churn_events"]; saw {
-		fmt.Printf("churn       : %.0f splice(s), -%.0f/+%.0f agents, live minimum %.0f\n",
+		fmt.Fprintf(w, "churn       : %.0f splice(s), -%.0f/+%.0f agents, live minimum %.0f\n",
 			ce, rec.Observables["churn_removed"], rec.Observables["churn_inserted"], rec.Observables["live_agents_min"])
 	}
-	if (*stat || *verbose) && len(sc.Faults) > 0 {
-		fmt.Println("note: -v and -stats replay the fault-free trajectory; ignored with -faults")
-	} else {
-		if *stat && *proto == "ppl" {
-			printStatsPPL(size, *slack, *c1, sc.Init, *seed)
-		}
-		if *verbose && *proto == "ppl" {
-			printFinalPPL(size, *slack, *c1, sc.Init, *seed)
-		}
-	}
+	fmt.Fprint(w, detail)
 	return nil
 }
 
+// trialPPL runs the single ppl trial through repro.ObserveTrial. With
+// -stats a trace collector observes every interaction of the trial; -v
+// draws the trial's own final configuration. It returns the trial result
+// and the -stats and -v blocks, empty when the trial did not converge.
+func trialPPL(p repro.Protocol, sc repro.Scenario, n int, seed uint64, probe repro.Probe, par core.Params, stat, verbose bool) (repro.TrialResult, string, error) {
+	col := trace.NewCollector(par)
+	var observe func(int, core.State, core.State)
+	if stat {
+		observe = col.Observe
+	}
+	res, final, err := repro.ObserveTrial(p, sc, n, seed, probe, observe)
+	if err != nil || !res.Converged {
+		return res, "", err
+	}
+	var b strings.Builder
+	if stat {
+		fmt.Fprintf(&b, "\n%s", trace.Format(col.Events(), trace.Snapshot(par, final)))
+	}
+	if verbose {
+		fmt.Fprintf(&b, "\nring n=%d ψ=%d κ_max=%d |Q|=%d\n%s",
+			len(final), par.Psi, par.KappaMax, par.StateCount(), par.FormatRing(final))
+	}
+	return res, b.String(), nil
+}
+
 // runRepeated fans trials repetitions of one protocol out across the
-// worker pool and prints aggregate convergence statistics. With a record
-// path the per-trial records are written as JSONL in trial order.
-func runRepeated(p repro.Protocol, sc repro.Scenario, n int, seed uint64, trials, workers int, record string) error {
+// worker pool and prints aggregate convergence statistics. Every
+// repetition runs probed, as the single trial does; with a record path
+// the per-trial records are written as JSONL in trial order.
+func runRepeated(w io.Writer, p repro.Protocol, sc repro.Scenario, n int, seed uint64, trials, workers int, record string) error {
 	type trial struct {
 		res repro.TrialResult
 		rec repro.TrialRecord
 		err error
 	}
-	probed := record != ""
 	results, err := runner.Map(context.Background(), trials, func(i int) trial {
-		if !probed {
-			res, err := p.Trial(sc, n, seed+uint64(i))
-			return trial{res: res, err: err}
-		}
 		probe := &repro.RecordingProbe{}
 		res, err := repro.ProbeTrial(p, sc, n, seed+uint64(i), probe)
 		rec := probe.Record()
@@ -187,45 +224,44 @@ func runRepeated(p repro.Protocol, sc repro.Scenario, n int, seed uint64, trials
 	maxSteps := sc.MaxSteps(p, n)
 	var steps []float64
 	failures := 0
-	var recs []repro.TrialRecord
+	recs := make([]repro.TrialRecord, 0, len(results))
 	for _, tr := range results {
 		if tr.err != nil {
 			return tr.err
 		}
-		if probed {
-			recs = append(recs, tr.rec)
-		}
+		recs = append(recs, tr.rec)
 		if !tr.res.Converged {
 			failures++
 			continue
 		}
 		steps = append(steps, float64(tr.res.Steps))
 	}
-	if probed {
-		if err := writeRecords(record, recs); err != nil {
+	if record != "" {
+		if err := writeRecords(w, record, recs); err != nil {
 			return err
 		}
 	}
 	info := p.Info()
-	fmt.Printf("protocol    : %s\n", info.Name)
-	fmt.Printf("assumption  : %s\n", info.Assumption)
-	fmt.Printf("ring size   : %d\n", n)
-	fmt.Printf("|Q|         : %d states/agent\n", p.States(n))
-	fmt.Printf("trials      : %d (seeds %d..%d)\n", trials, seed, seed+uint64(trials)-1)
+	fmt.Fprintf(w, "protocol    : %s\n", info.Name)
+	fmt.Fprintf(w, "assumption  : %s\n", info.Assumption)
+	fmt.Fprintf(w, "ring size   : %d\n", n)
+	fmt.Fprintf(w, "|Q|         : %d states/agent\n", p.States(n))
+	fmt.Fprintf(w, "trials      : %d (seeds %d..%d)\n", trials, seed, seed+uint64(trials)-1)
 	if failures > 0 {
-		fmt.Printf("failures    : %d (budget %d steps)\n", failures, maxSteps)
+		fmt.Fprintf(w, "failures    : %d (budget %d steps)\n", failures, maxSteps)
 	}
 	if len(steps) == 0 {
 		return fmt.Errorf("no trial converged within %d steps", maxSteps)
 	}
 	s := stats.Summarize(steps)
-	fmt.Printf("safe after  : mean %.0f | median %.0f | min %.0f | max %.0f steps\n",
+	fmt.Fprintf(w, "safe after  : mean %.0f | median %.0f | min %.0f | max %.0f steps\n",
 		s.Mean, s.Median, s.Min, s.Max)
 	return nil
 }
 
-// writeRecords writes the records as a JSONL artifact, in slice order.
-func writeRecords(path string, recs []repro.TrialRecord) error {
+// writeRecords writes the records as a JSONL artifact, in slice order,
+// and reports the count to w.
+func writeRecords(w io.Writer, path string, recs []repro.TrialRecord) error {
 	sink, err := repro.CreateJSONL(path)
 	if err != nil {
 		return err
@@ -239,7 +275,7 @@ func writeRecords(path string, recs []repro.TrialRecord) error {
 	if err := sink.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("records     : %d written to %s\n", len(recs), path)
+	fmt.Fprintf(w, "records     : %d written to %s\n", len(recs), path)
 	return nil
 }
 
@@ -268,7 +304,7 @@ func scenarioFor(init, faults, sched, churn string, stuck int) (repro.Scenario, 
 	if err != nil {
 		return repro.Scenario{}, err
 	}
-	if spec == nil && (len(churnEvents) > 0 || stuck > 0) {
+	if spec == nil && (len(churnEvents) > 0 || stuck != 0) {
 		spec = &repro.SchedulerSpec{}
 	}
 	if spec != nil {
@@ -292,23 +328,4 @@ func scenarioFor(init, faults, sched, churn string, stuck int) (repro.Scenario, 
 		sc.Faults = append(sc.Faults, repro.Fault{AtStep: at, Agents: k})
 	}
 	return sc, nil
-}
-
-func runOrient(n int, seed uint64) error {
-	if n < 3 {
-		return errors.New("orientation needs n >= 3")
-	}
-	o := newOrientation(n, seed)
-	steps, ok := o.RunToOriented(0)
-	if !ok {
-		return errors.New("orientation did not converge")
-	}
-	dir := "counter-clockwise"
-	if o.Clockwise() {
-		dir = "clockwise"
-	}
-	fmt.Printf("protocol    : P_OR (Section 5)\n")
-	fmt.Printf("ring size   : %d\n", n)
-	fmt.Printf("oriented in : %d steps (%s)\n", steps, dir)
-	return nil
 }

@@ -257,7 +257,11 @@
 //
 // For driving a single simulation interactively, RingElection runs P_PL
 // on a directed ring and RingOrientation runs the Section 5 orientation
-// protocol on an undirected ring. The paper's Table 1 is one Experiment
+// protocol on an undirected ring. Both are built on the registered ppl and
+// orient protocols' trial wiring and step budgets. ObserveTrial runs one
+// trial of a built-in protocol with a per-interaction observer attached
+// and returns its final configuration; cmd/ringsim's -stats and -v read
+// the reported trial through it. The paper's Table 1 is one Experiment
 // (see examples/comparison).
 //
 // The building blocks live under internal/: the population-protocol

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/population"
 	"repro/internal/xrand"
 )
 
@@ -51,12 +50,12 @@ func WithC1(c1 int) Option { return c1Option(c1) }
 // anonymous agents under the uniformly random scheduler.
 type RingElection struct {
 	params core.Params
-	proto  *core.Protocol
-	eng    *population.Engine[core.State]
-	rng    *xrand.RNG
-	// tracker is the incremental S_PL tracker, installed only for the
-	// duration of RunToSafe so plain Run/Step stay on the raw hot path.
-	tracker *population.RingTracker[core.State]
+	// te is the registered protocol's trial wiring. The façade drives its
+	// generic engine directly and installs its incremental S_PL tracker
+	// only for the duration of RunToSafe, so plain Run/Step stay on the
+	// raw hot path.
+	te       trialEngine[core.State]
+	maxSteps uint64
 }
 
 // NewRingElection builds a simulation for a ring of n ≥ 2 agents, starting
@@ -68,14 +67,10 @@ func NewRingElection(n int, opts ...Option) *RingElection {
 		opt.apply(&o)
 	}
 	params := core.NewParamsSlack(n, o.slack, o.c1)
-	proto := core.New(params)
-	rng := xrand.New(o.seed)
-	eng := population.NewEngine(population.DirectedRing(n), proto.Step, rng)
-	eng.TrackLeaders(core.IsLeader)
-	return &RingElection{
-		params: params, proto: proto, eng: eng, rng: rng,
-		tracker: population.NewRingTracker(params.SafetySpec()),
-	}
+	p := PPL(o.slack, o.c1).(*ringProtocol[core.State])
+	te := p.newTrial(Scenario{}, n, o.seed)
+	te.eng.SetStates(make([]core.State, n))
+	return &RingElection{params: params, te: te, maxSteps: p.MaxSteps(n)}
 }
 
 // N returns the ring size.
@@ -91,38 +86,32 @@ func (e *RingElection) StatesPerAgent() uint64 { return e.params.StateCount() }
 // InitRandom installs an adversarial initial configuration: every agent's
 // state drawn uniformly from the full state space.
 func (e *RingElection) InitRandom(seed uint64) {
-	e.eng.SetStates(e.params.RandomConfig(xrand.New(seed)))
+	e.te.eng.SetStates(e.params.RandomConfig(xrand.New(seed)))
 }
 
 // InitPerfect installs a safe configuration with the leader at the given
 // index — the converged steady state.
 func (e *RingElection) InitPerfect(leaderAt int) {
-	e.eng.SetStates(e.params.PerfectConfig(leaderAt, 0))
+	e.te.eng.SetStates(e.params.PerfectConfig(leaderAt, 0))
 }
 
 // InitNoLeader installs the hardest detection instance: a leaderless ring
 // whose distance labels are fully consistent, so only the token comparison
 // machinery can expose the absence of a leader.
 func (e *RingElection) InitNoLeader() {
-	e.eng.SetStates(e.params.NoLeaderAligned())
+	e.te.eng.SetStates(e.params.NoLeaderAligned())
 }
 
 // InjectFaults overwrites k randomly chosen agents with uniformly random
-// states — a transient-fault burst. The protocol recovers because it is
-// self-stabilizing.
-func (e *RingElection) InjectFaults(k int) {
-	cfg := e.eng.Snapshot()
-	for i := 0; i < k; i++ {
-		cfg[e.rng.Intn(len(cfg))] = e.params.RandomState(e.rng)
-	}
-	e.eng.SetStates(cfg)
-}
+// states — a transient-fault burst drawn from the scheduler's RNG. The
+// protocol recovers because it is self-stabilizing.
+func (e *RingElection) InjectFaults(k int) { e.te.burst(e.te.eng.RNG(), k) }
 
 // Step executes one scheduler step (one pairwise interaction).
-func (e *RingElection) Step() { e.eng.Step() }
+func (e *RingElection) Step() { e.te.eng.Step() }
 
 // Run executes the given number of scheduler steps.
-func (e *RingElection) Run(steps uint64) { e.eng.Run(steps) }
+func (e *RingElection) Run(steps uint64) { e.te.eng.Run(steps) }
 
 // RunToSafe runs until the configuration enters the closed safe set S_PL
 // of the paper (Definition 4.6) and returns the total step count and
@@ -133,41 +122,40 @@ func (e *RingElection) Run(steps uint64) { e.eng.Run(steps) }
 // generous constant.
 func (e *RingElection) RunToSafe(maxSteps uint64) (uint64, bool) {
 	if maxSteps == 0 {
-		n := uint64(e.params.N)
-		maxSteps = e.eng.Steps() + 800*n*n*uint64(e.params.Psi)
+		maxSteps = e.te.eng.Steps() + e.maxSteps
 	}
-	e.eng.SetTracker(e.tracker)
-	defer e.eng.SetTracker(nil)
-	return e.eng.RunUntilConverged(maxSteps)
+	e.te.eng.SetTracker(e.te.tracker)
+	defer e.te.eng.SetTracker(nil)
+	return e.te.eng.RunUntilConverged(maxSteps)
 }
 
 // Steps returns the number of scheduler steps executed so far.
-func (e *RingElection) Steps() uint64 { return e.eng.Steps() }
+func (e *RingElection) Steps() uint64 { return e.te.eng.Steps() }
 
 // Leader returns the index of the unique leader, if exactly one agent
 // currently outputs L.
 func (e *RingElection) Leader() (int, bool) {
-	idx := core.LeaderIndex(e.eng.Config())
+	idx := core.LeaderIndex(e.te.eng.Config())
 	return idx, idx >= 0
 }
 
 // LeaderCount returns the number of agents currently outputting L.
-func (e *RingElection) LeaderCount() int { return e.eng.LeaderCount() }
+func (e *RingElection) LeaderCount() int { return e.te.eng.LeaderCount() }
 
 // Safe reports whether the current configuration is in S_PL: exactly one
 // leader, and the embedded distance/segment-ID structure proves no new
 // leader will ever be created and the current one never killed.
-func (e *RingElection) Safe() bool { return e.params.IsSafe(e.eng.Config()) }
+func (e *RingElection) Safe() bool { return e.params.IsSafe(e.te.eng.Config()) }
 
 // LastOutputChange returns the step at which the set of leaders last
 // changed (0 if never) — the output stabilization time once a run has been
 // certified safe.
-func (e *RingElection) LastOutputChange() uint64 { return e.eng.LastLeaderChange() }
+func (e *RingElection) LastOutputChange() uint64 { return e.te.eng.LastLeaderChange() }
 
 // Describe renders the current configuration as a Figure 1 style segment
 // diagram.
 func (e *RingElection) Describe() string {
 	return fmt.Sprintf("ring n=%d ψ=%d κ_max=%d |Q|=%d\n%s",
 		e.params.N, e.params.Psi, e.params.KappaMax, e.params.StateCount(),
-		e.params.FormatRing(e.eng.Config()))
+		e.params.FormatRing(e.te.eng.Config()))
 }

@@ -158,6 +158,10 @@ func (e *Engine[S]) Steps() uint64 { return e.step }
 // State returns agent i's current state.
 func (e *Engine[S]) State(i int) S { return e.states[i] }
 
+// RNG returns the scheduler RNG. A caller that draws from it between runs
+// shifts every later arc draw.
+func (e *Engine[S]) RNG() *xrand.RNG { return e.rng }
+
 // Snapshot returns a copy of the full configuration.
 func (e *Engine[S]) Snapshot() []S {
 	out := make([]S, len(e.states))

@@ -2,9 +2,6 @@ package repro
 
 import (
 	"repro/internal/orient"
-	"repro/internal/population"
-	"repro/internal/twohop"
-	"repro/internal/xrand"
 )
 
 // RingOrientation simulates the paper's Section 5 protocol P_OR on an
@@ -12,12 +9,12 @@ import (
 // agree on a common orientation within O(n² log n) steps w.h.p. using O(1)
 // states, given a two-hop coloring.
 type RingOrientation struct {
-	proto *orient.Protocol
-	eng   *population.Engine[orient.State]
-	rng   *xrand.RNG
-	// tracker is the incremental orientation tracker, installed only for
-	// the duration of RunToOriented so plain Step stays on the raw path.
-	tracker *population.RingTracker[orient.State]
+	// te is the registered protocol's trial wiring. The façade drives its
+	// generic engine directly and installs its incremental orientation
+	// tracker only for the duration of RunToOriented, so plain Step stays
+	// on the raw path.
+	te       trialEngine[orient.State]
+	maxSteps uint64
 }
 
 // NewRingOrientation builds a simulation for an undirected ring of n ≥ 3
@@ -28,28 +25,25 @@ func NewRingOrientation(n int, opts ...Option) *RingOrientation {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	rng := xrand.New(o.seed)
-	proto := orient.New()
-	eng := population.NewEngine(population.UndirectedRing(n), proto.Step, rng)
-	eng.SetStates(orient.InitialConfig(twohop.Coloring(n), rng.Split()))
-	return &RingOrientation{
-		proto: proto, eng: eng, rng: rng,
-		tracker: population.NewRingTracker(orient.OrientedSpec()),
-	}
+	p := orientProtocol().(*ringProtocol[orient.State])
+	ro := &RingOrientation{te: p.newTrial(Scenario{}, n, o.seed), maxSteps: p.MaxSteps(n)}
+	ro.Scramble()
+	return ro
 }
 
 // N returns the ring size.
-func (o *RingOrientation) N() int { return o.eng.N() }
+func (o *RingOrientation) N() int { return o.te.eng.N() }
 
 // Scramble re-randomizes directions, strengths and memories while keeping
-// the coloring — a transient-fault burst for the orientation layer.
+// the coloring — a transient-fault burst for the orientation layer, drawn
+// from the scheduler's RNG.
 func (o *RingOrientation) Scramble() {
-	colors := orient.Colors(o.eng.Config())
-	o.eng.SetStates(orient.InitialConfig(colors, o.rng.Split()))
+	eng := o.te.eng
+	eng.SetStates(orient.InitialConfig(orient.Colors(eng.Config()), eng.RNG().Split()))
 }
 
 // Step executes one scheduler step.
-func (o *RingOrientation) Step() { o.eng.Step() }
+func (o *RingOrientation) Step() { o.te.eng.Step() }
 
 // RunToOriented runs until the ring is fully oriented (Definition 5.1
 // condition (ii)) and returns the step count and success. Orientation is
@@ -58,19 +52,18 @@ func (o *RingOrientation) Step() { o.eng.Step() }
 // a generous constant.
 func (o *RingOrientation) RunToOriented(maxSteps uint64) (uint64, bool) {
 	if maxSteps == 0 {
-		n := uint64(o.eng.N())
-		maxSteps = o.eng.Steps() + 4000*n*n
+		maxSteps = o.te.eng.Steps() + o.maxSteps
 	}
-	o.eng.SetTracker(o.tracker)
-	defer o.eng.SetTracker(nil)
-	return o.eng.RunUntilConverged(maxSteps)
+	o.te.eng.SetTracker(o.te.tracker)
+	defer o.te.eng.SetTracker(nil)
+	return o.te.eng.RunUntilConverged(maxSteps)
 }
 
 // Oriented reports whether all agents currently share a direction.
-func (o *RingOrientation) Oriented() bool { return orient.Oriented(o.eng.Config()) }
+func (o *RingOrientation) Oriented() bool { return orient.Oriented(o.te.eng.Config()) }
 
 // Clockwise reports the agreed direction; meaningful only when Oriented.
-func (o *RingOrientation) Clockwise() bool { return orient.Clockwise(o.eng.Config()) }
+func (o *RingOrientation) Clockwise() bool { return orient.Clockwise(o.te.eng.Config()) }
 
 // Steps returns the number of scheduler steps executed so far.
-func (o *RingOrientation) Steps() uint64 { return o.eng.Steps() }
+func (o *RingOrientation) Steps() uint64 { return o.te.eng.Steps() }

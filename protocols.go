@@ -240,16 +240,7 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 			if frng == nil {
 				frng = xrand.New(seed ^ faultSeedSalt)
 			}
-			cfg := te.eng.Snapshot()
-			for i := 0; i < f.Agents; i++ {
-				j := frng.Intn(len(cfg))
-				cfg[j] = te.corrupt(frng, cfg[j])
-			}
-			if te.install != nil {
-				te.install(cfg)
-			} else {
-				te.eng.SetStates(cfg)
-			}
+			te.burst(frng, f.Agents)
 			if probe != nil {
 				epoch++
 				ev := TrialEvent{Kind: EventFault, Step: te.eng.Steps(), Agents: f.Agents, Leaders: -1}
@@ -322,6 +313,22 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 		probe.End(res)
 	}
 	return res
+}
+
+// burst overwrites k agents drawn from rng with corrupted states — one
+// transient-fault burst — and installs the result through the
+// protocol's oracle runner when it has one.
+func (te trialEngine[S]) burst(rng *xrand.RNG, k int) {
+	cfg := te.eng.Snapshot()
+	for i := 0; i < k; i++ {
+		j := rng.Intn(len(cfg))
+		cfg[j] = te.corrupt(rng, cfg[j])
+	}
+	if te.install != nil {
+		te.install(cfg)
+	} else {
+		te.eng.SetStates(cfg)
+	}
 }
 
 // benchRaw runs exactly steps scheduler steps with no convergence
@@ -426,13 +433,49 @@ func (p *ringProtocol[S]) Trial(sc Scenario, n int, seed uint64) (TrialResult, e
 // ProbedTrial implements ProbedProtocol: Trial with the typed event
 // stream attached.
 func (p *ringProtocol[S]) ProbedTrial(sc Scenario, n int, seed uint64, probe Probe) (TrialResult, error) {
+	res, _, err := p.observedTrial(sc, n, seed, probe, nil)
+	return res, err
+}
+
+// observedTrial is the one trial body behind ProbedTrial and ObserveTrial:
+// it wires the trial, installs a non-nil observe as the engine observer,
+// runs the trial and returns its result and final configuration. An
+// observer makes the interned layer decline, so it sees every interaction
+// of the generic run, which the differential suites pin bit-identical to
+// the interned one. Protocols whose engine observer maintains an oracle
+// census (those with an install hook) refuse a second observer.
+func (p *ringProtocol[S]) observedTrial(sc Scenario, n int, seed uint64, probe Probe, observe population.Observer[S]) (TrialResult, []S, error) {
 	if err := p.Validate(sc); err != nil {
-		return TrialResult{}, err
+		return TrialResult{}, nil, err
 	}
 	if err := checkRingSize(p.info, n); err != nil {
-		return TrialResult{}, err
+		return TrialResult{}, nil, err
 	}
-	return p.newTrial(sc, n, seed).run(sc, n, seed, sc.MaxSteps(p, n), p.info.Name, probe), nil
+	te := p.newTrial(sc, n, seed)
+	if observe != nil {
+		if te.install != nil {
+			return TrialResult{}, nil, fmt.Errorf("repro: %s keeps its oracle census in the engine observer and cannot take another", p.info.Name)
+		}
+		te.eng.SetObserver(observe)
+	}
+	res := te.run(sc, n, seed, sc.MaxSteps(p, n), p.info.Name, probe)
+	return res, te.eng.Config(), nil
+}
+
+// ObserveTrial runs one trial of a built-in protocol whose agents hold
+// states of type S, exactly as ProbeTrial would — same seeds, RNG stream,
+// TrialResult and probe events — while calling observe (when non-nil)
+// for both agents of every interaction with their states before and
+// after it. It returns the trial's final configuration, whose length is
+// the live agent count after any churn. It fails when p is not a
+// built-in protocol over S, and when observe is set for fj or chenchen,
+// whose engine observer maintains their oracle census.
+func ObserveTrial[S comparable](p Protocol, sc Scenario, n int, seed uint64, probe Probe, observe func(agent int, before, after S)) (TrialResult, []S, error) {
+	rp, ok := p.(*ringProtocol[S])
+	if !ok {
+		return TrialResult{}, nil, fmt.Errorf("repro: %s is not a built-in protocol over %T states", p.Info().Name, *new(S))
+	}
+	return rp.observedTrial(sc, n, seed, probe, observe)
 }
 
 // LaneTrials runs a batch of same-cell trials back to back over one shared
