@@ -35,6 +35,11 @@ const (
 	// state interning amortize across the batch. Steps and steps/sec
 	// aggregate the whole batch; Lanes records the batch width.
 	BenchLanes BenchMode = "lanes"
+	// BenchCold times one whole Protocol.Trial: table construction, the
+	// interned run from empty tables, any reuse-guard or capacity fallback
+	// and the generic finish. It is the path every library, service and
+	// fabric trial takes, so its steps equal Trial's.
+	BenchCold BenchMode = "cold"
 )
 
 // defaultBenchLanes is the lane count of every BenchLanes row.
@@ -61,9 +66,12 @@ type BenchResult struct {
 	// Converged reports whether the convergence modes hit their predicate
 	// within the budget; always true for BenchRaw.
 	Converged bool `json:"converged"`
-	// Fallback reports, for BenchInterned rows, that the interner's
-	// capacity cap was exceeded and the run completed on the generic path
-	// (P_PL at large n); absent for every other mode.
+	// Fallback reports, for BenchInterned rows, that the timed run left the
+	// interned layer — the capacity cap, or the reuse guard on pairs the
+	// warmup did not fill — and finished on the generic engine; absent for
+	// every other mode. Fallback is the rule in cold trials: every cold
+	// P_PL trial from n≈16 up falls back through the reuse guard, inside
+	// BenchCold's timed region.
 	Fallback bool `json:"fallback,omitempty"`
 	// Lanes is the number of trials a BenchLanes row ran over its shared
 	// table set; absent for every other mode.
@@ -119,7 +127,7 @@ type engineProtocol interface {
 // RunBenchmark executes one perf-baseline measurement: protocol name (a
 // registered built-in), requested ring size (FixSize-adjusted
 // internally), scheduler seed, scenario, and mode — BenchRaw, BenchTracked,
-// BenchInterned or BenchLanes. rawSteps is the step
+// BenchInterned, BenchLanes or BenchCold. rawSteps is the step
 // budget of BenchRaw and ignored by the convergence modes, which run to
 // the scenario's budget. Fault-schedule scenarios are rejected: the modes
 // time a single uninterrupted run phase, so a burst schedule would be
@@ -175,6 +183,8 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		for i := range seeds {
 			seeds[i] = seed + uint64(i)*benchLaneSeedStride
 		}
+	case BenchCold:
+		// Trial wires its own engine and tables inside the timed region.
 	default:
 		ru, err = b.newBench(sc, n, seed)
 		if err != nil {
@@ -207,6 +217,12 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 			res.Steps += tr.Steps
 			res.Converged = res.Converged && tr.Converged
 		}
+	case BenchCold:
+		tr, err := p.Trial(sc, n, seed)
+		if err != nil {
+			return BenchResult{}, err
+		}
+		res.Steps, res.Converged = tr.Steps, tr.Converged
 	default:
 		return BenchResult{}, fmt.Errorf("repro: unknown bench mode %q", mode)
 	}

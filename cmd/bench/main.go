@@ -1,12 +1,13 @@
 // Command bench emits the repository's performance baseline,
 // BENCH_ringsim.json: steps per second for every requested protocol ×
-// ring size × scenario cell, in four engine modes — the raw generic
+// ring size × scenario cell, in five engine modes — the raw generic
 // Engine.Run transition loop (no convergence judgement; the mode keeps its
 // historical name "runbatch"), the incremental-tracker run to
-// convergence, the interned table-lookup run (the trial default), and the
+// convergence, the interned table-lookup run over warm tables, the
 // "lanes" mode — a batch of eight same-cell trials sharing one
 // transition-table set, run back to back, whose steps/sec aggregates the
-// batch — plus a "recovery" mode that
+// batch — and the "cold" mode, one whole Protocol.Trial from empty
+// tables, the path every user trial takes — plus a "recovery" mode that
 // injects a mid-run fault burst through the public Trial API and records
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills
@@ -19,7 +20,7 @@
 // Usage:
 //
 //	bench [-protocols ppl,yokota,...] [-sizes 16,32,64] [-scenarios random]
-//	      [-modes runbatch,tracked,interned,lanes,recovery,eclipse]
+//	      [-modes runbatch,tracked,interned,lanes,cold,recovery,eclipse]
 //	      [-trials 3] [-bestof 3] [-seed 1] [-rawsteps 2000000] [-ccmax 8]
 //	      [-maxstates 0] [-quick]
 //	      [-o BENCH_ringsim.json] [-records FILE]
@@ -106,7 +107,7 @@ func main() {
 		protocols  = flag.String("protocols", "ppl,yokota,angluin,fj,orient,chenchen", "comma-separated registered protocol names")
 		sizes      = flag.String("sizes", "16,32,64", "comma-separated ring sizes")
 		scenarios  = flag.String("scenarios", "random", "comma-separated init classes (non-ppl protocols skip all but random)")
-		modes      = flag.String("modes", "runbatch,tracked,interned,lanes,recovery,eclipse", "comma-separated modes: runbatch, tracked, interned, lanes, recovery, eclipse")
+		modes      = flag.String("modes", "runbatch,tracked,interned,lanes,cold,recovery,eclipse", "comma-separated modes: runbatch, tracked, interned, lanes, cold, recovery, eclipse")
 		trials     = flag.Int("trials", 3, "measurements per cell (seeds seed..seed+trials-1)")
 		bestOf     = flag.Int("bestof", 3, "timings per measurement; the fastest is kept")
 		seed       = flag.Uint64("seed", 1, "first scheduler seed")

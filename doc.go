@@ -210,21 +210,27 @@
 // path transparently when the run exceeds the interner's capacity cap or
 // its tables miss on more than a quarter of the steps in a window of
 // max(2048, 64·n) steps, whether or not the misses mint new states (the
-// reuse guard). Cold P_PL trials that outlast their first window fall
-// back this way; the other five protocols stay interned.
+// reuse guard). The guard bails on the miss that takes the count past
+// the quarter, so a doomed window stops filling tables there, and a run
+// that ends inside one falls back too. Every cold P_PL trial from n≈16 up
+// falls back this way; the other five protocols stay interned. The
+// generic tracker that takes over runs on P_PL's meta words
+// (RingSpec.MaskMetaBits): a mask refresh happens only when an
+// interaction moved a bit the masks read.
 //
 // # Performance baseline (BENCH_ringsim.json)
 //
 // RunBenchmark (and the cmd/bench command wrapping it) measures steps per
-// second of every built-in protocol × ring size × scenario in four
+// second of every built-in protocol × ring size × scenario in five
 // modes: "runbatch" (the raw batched transition loop, no convergence
 // judgement — the ceiling), "tracked" (run-to-convergence through the
 // incremental tracker with exact hitting times), "interned"
-// (the trial default: the table-lookup layer timed steady-state against
-// tables pre-filled by an untimed warmup run with the reuse guard
-// suspended — warm tables no user path runs — with its Fallback flag
-// recorded per row) and "lanes" (same-cell trials sharing one table set,
-// run back to back — the cold fill paid once, amortized).
+// (the table-lookup layer timed steady-state against tables pre-filled
+// by an untimed warmup run with the reuse guard suspended — warm tables
+// no user path runs — with its Fallback flag recorded per row), "lanes"
+// (same-cell trials sharing one table set, run back to back — the cold
+// fill paid once, amortized) and "cold" (one whole Protocol.Trial from
+// empty tables, fallback included — the path every user trial takes).
 // cmd/bench additionally measures "recovery" rows —
 // exact steps from a deterministic mid-run fault burst back to
 // convergence — and "eclipse" rows — exact steps from a deterministic

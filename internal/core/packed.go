@@ -139,9 +139,9 @@ func (p Params) metaTok(t Token) uint64 {
 }
 
 // attachMeta installs the meta-word acceleration callbacks on SafetySpec's
-// RingSpec: each is the literal port of its State-level counterpart to the
-// meta layout, and the equivalence tests pin them bit-for-bit (witnesses
-// included).
+// RingSpec, with the mask bits they read: each is the literal port of its
+// State-level counterpart to the meta layout, and the equivalence tests pin
+// them bit-for-bit (witnesses included).
 func (p Params) attachMeta(spec *population.RingSpec[State]) {
 	two := uint16(p.TwoPsi())
 	spec.MetaID = p.metaID
@@ -181,6 +181,9 @@ func (p Params) attachMeta(spec *population.RingSpec[State]) {
 		return b
 	}
 	spec.ResidualMeta = p.metaResidual()
+	// The two mask closures above read the leader and last bits, the war
+	// bullet (the nibble's low two bits) and the dist byte.
+	spec.MaskMetaBits = metaLeaderBit | metaLastBit | 3<<metaWarShift | 0xff<<metaDistShift
 }
 
 // metaResidual builds the per-agent-meta residual closure. Each closure

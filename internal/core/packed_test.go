@@ -115,7 +115,10 @@ func TestPackedInternerCollisionFree(t *testing.T) {
 // TestMetaSpecEquivalence pins the meta-word callbacks bit-for-bit against
 // their State-level counterparts over reachable samples: the per-arc mask,
 // and the per-agent mask derived from a single meta word (the
-// AgentMaskMeta fast path of the interned engine's mirror update).
+// AgentMaskMeta fast path of the interned engine's mirror update). It also
+// pins MaskMetaBits, which lets the generic tracker skip mask refreshes:
+// flipping any meta bit outside it, on either side of an arc, moves
+// neither mask.
 func TestMetaSpecEquivalence(t *testing.T) {
 	for _, n := range []int{8, 33, 64} {
 		p := NewParams(n)
@@ -134,6 +137,28 @@ func TestMetaSpecEquivalence(t *testing.T) {
 			got := spec.ArcMaskMeta(spec.MetaID(l), spec.MetaID(r))
 			if want := spec.ArcMask(l, r); got != want {
 				t.Fatalf("n=%d: ArcMaskMeta(%+v, %+v) = %#x, ArcMask = %#x", n, l, r, got, want)
+			}
+		}
+		if spec.MaskMetaBits == 0 {
+			t.Fatalf("n=%d: MaskMetaBits not set", n)
+		}
+		for i := 0; i+1 < len(sample); i += 2 {
+			l, r := spec.MetaID(sample[i]), spec.MetaID(sample[i+1])
+			agent, arc := spec.AgentMaskMeta(l), spec.ArcMaskMeta(l, r)
+			for b := 0; b < 64; b++ {
+				flip := uint64(1) << b
+				if spec.MaskMetaBits&flip != 0 {
+					continue
+				}
+				if got := spec.AgentMaskMeta(l ^ flip); got != agent {
+					t.Fatalf("n=%d: flipping meta bit %d outside MaskMetaBits moved AgentMaskMeta(%#x): %#x -> %#x", n, b, l, agent, got)
+				}
+				if got := spec.ArcMaskMeta(l^flip, r); got != arc {
+					t.Fatalf("n=%d: flipping left meta bit %d outside MaskMetaBits moved ArcMaskMeta(%#x, %#x): %#x -> %#x", n, b, l, r, arc, got)
+				}
+				if got := spec.ArcMaskMeta(l, r^flip); got != arc {
+					t.Fatalf("n=%d: flipping right meta bit %d outside MaskMetaBits moved ArcMaskMeta(%#x, %#x): %#x -> %#x", n, b, l, r, arc, got)
+				}
 			}
 		}
 	}

@@ -13,7 +13,10 @@ import (
 // IsSafe scan: agreement after every single step and identical hitting
 // times through the engine run paths, across sizes (including a
 // non-power-of-two and the n=64 acceptance size) and adversarial initial
-// classes.
+// classes. Every case runs the tracker in both of its modes — meta mode
+// (SafetySpec as built) and closure mode (a copy with MetaID cleared) —
+// and a lockstep run pins their channel counts, which become the chan_*
+// record observables, equal after every step.
 func TestSafetySpecExact(t *testing.T) {
 	type cse struct {
 		n       int
@@ -39,7 +42,11 @@ func TestSafetySpecExact(t *testing.T) {
 						return eng
 					}
 					pred := func(cfg []State) bool { return p.IsSafe(cfg) }
-					tracktest.Exact(t, mk, p.SafetySpec(), pred, budget(p))
+					closure := p.SafetySpec()
+					closure.MetaID = nil
+					t.Run("meta", func(t *testing.T) { tracktest.Exact(t, mk, p.SafetySpec(), pred, budget(p)) })
+					t.Run("closure", func(t *testing.T) { tracktest.Exact(t, mk, closure, pred, budget(p)) })
+					t.Run("lockstep", func(t *testing.T) { lockstepCounts(t, mk, p.SafetySpec(), closure, budget(p)) })
 				})
 			}
 		}
@@ -64,5 +71,35 @@ func TestSafetySpecOnPerfect(t *testing.T) {
 		if !tr.Converged() {
 			t.Fatalf("left the tracked safe set at step %d (closure violated?)", eng.Steps())
 		}
+	}
+}
+
+// lockstepCounts steps two identically seeded engines, one tracked under
+// each spec, and fails at the first step where the trackers' channel
+// counts or verdicts differ. It stops at maxSteps or 256 steps after the
+// first converged verdict.
+func lockstepCounts(t *testing.T, mk func() *population.Engine[State], a, b population.RingSpec[State], maxSteps uint64) {
+	t.Helper()
+	ea, eb := mk(), mk()
+	ta, tb := population.NewRingTracker(a), population.NewRingTracker(b)
+	ea.SetTracker(ta)
+	eb.SetTracker(tb)
+	tail := 0
+	for {
+		if ca, cb := ta.Counts(), tb.Counts(); ca != cb {
+			t.Fatalf("step %d: counts diverged\nmeta:    %+v\nclosure: %+v", ea.Steps(), ca, cb)
+		}
+		va, vb := ta.Converged(), tb.Converged()
+		if va != vb {
+			t.Fatalf("step %d: verdicts diverged: meta %v, closure %v", ea.Steps(), va, vb)
+		}
+		if va {
+			tail++
+		}
+		if ea.Steps() >= maxSteps || tail > 256 {
+			return
+		}
+		ea.Step()
+		eb.Step()
 	}
 }

@@ -97,11 +97,16 @@ const defaultDenseStates = 512
 // miss costs the transition PLUS the memoization. A run whose tables miss
 // on more than 1-in-reuseMissDiv of the steps in a window of
 // max(reuseWindow, reuseWindowPerAgent·n) steps falls back to the generic
-// path, as on the capacity cap; minting new states earns no exemption. A
-// cold P_PL trial visits ~200·n states and misses on 40–78% of its first
-// window (n = 32–1024); yokota, angluin, fj, chenchen and orient stay at
-// or below 18%. The counters are deterministic per run, so whether a seed
-// interns or falls back is reproducible — and either way bit-identical.
+// path, as on the capacity cap; minting new states earns no exemption.
+// Misses never decrease within a window, so the verdict is certain on the
+// miss that takes the count past the window's quarter: the run falls back
+// right after that step instead of filling tables it will drop for the
+// rest of the window — and a run that ends inside a doomed window falls
+// back too. A cold P_PL trial visits ~200·n states and misses on 40–78% of
+// its first window (n = 32–1024); yokota, angluin, fj, chenchen and orient
+// stay at or below 18%. The counters are deterministic per run, so whether
+// a seed interns or falls back is reproducible — and either way
+// bit-identical.
 const (
 	reuseWindow         = 2048
 	reuseWindowPerAgent = 64
@@ -454,7 +459,11 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 		v, ok = pt.get(idL, idR)
 	}
 	if !ok {
-		g.winMisses++
+		if g.winMisses++; g.winMisses > g.winLen/reuseMissDiv {
+			// The window is doomed: close it with this step, so the run
+			// loop's reuseBail judges it before the next draw.
+			g.winSteps = g.winLen - 1
+		}
 		if v, ok = g.fill(key, idL, idR); !ok {
 			g.settle() // the generic continuation reads Engine.states
 			g.fall()
@@ -495,14 +504,16 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 	return stepApplied
 }
 
-// reuseBail evaluates the reuse guard after each completed window and
-// reports whether the run should abandon interning. Callers bail between
-// steps, so the switch is as clean as the capacity fallback.
+// reuseBail runs after every interned step and reports whether the run
+// should abandon interning. A window closes on its last step or, once
+// doomed, on the miss that doomed it (applyInterned); only a doomed window
+// bails. Callers bail between steps, so the switch is as clean as the
+// capacity fallback.
 func (g *InternedEngine[S]) reuseBail() bool {
 	if g.winSteps < g.winLen {
 		return false
 	}
-	bail := g.winMisses > g.winSteps/reuseMissDiv
+	bail := g.winMisses > g.winLen/reuseMissDiv
 	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
 	return bail
 }

@@ -104,9 +104,9 @@ func toySpec() RingSpec[uint16] {
 
 // toyTrans wanders through a large state space, minting fresh states on
 // almost every step, so a small interner cap is exceeded mid-run — and,
-// with a roomy cap, the reuse guard bails on the never-repeating pairs at
-// the end of its first window: minting new states is no excuse for a
-// table that is never reused.
+// with a roomy cap, the reuse guard bails on the never-repeating pairs
+// once a quarter of its first window has missed: minting new states is no
+// excuse for a table that is never reused.
 func toyTrans(l, r uint16) (uint16, uint16) {
 	return l + 1, r + l*3 + 7
 }
@@ -205,29 +205,61 @@ func TestInternedRunMatchesGenericRun(t *testing.T) {
 	}
 }
 
-// TestReuseGuardWindow pins when the reuse guard judges: once per window
-// of max(reuseWindow, reuseWindowPerAgent·n) steps, so a minting run stays
-// interned through its whole first window and falls back on the step that
-// closes it — on small rings and on rings large enough to stretch the
-// window.
+// TestReuseGuardWindow pins when the reuse guard bails: on the miss that
+// takes the window's count past winLen/reuseMissDiv, the first step at
+// which the window's verdict is certain. The minting toy misses on every
+// step, so it stays interned through the first winLen/4 steps and falls
+// back on the next — on small rings and on rings large enough to stretch
+// the window.
 func TestReuseGuardWindow(t *testing.T) {
 	for _, n := range []int{16, 64} {
-		window := uint64(reuseWindowFor(n))
+		bail := uint64(reuseWindowFor(n)/reuseMissDiv + 1)
 		gen, acc := newToyPairTrans(n, 3, 1<<20, toyTrans)
-		gen.Run(window - 1)
-		acc.Run(window - 1)
+		gen.Run(bail - 1)
+		acc.Run(bail - 1)
 		if !acc.Interned() {
-			t.Fatalf("n=%d: bailed before the first %d-step window closed", n, window)
+			t.Fatalf("n=%d: bailed before step %d", n, bail)
+		}
+		if acc.winMisses != int(bail-1) {
+			t.Fatalf("n=%d: %d misses in the first %d steps; the toy must miss on every step", n, acc.winMisses, bail-1)
 		}
 		gen.Run(1)
 		acc.Run(1)
 		if acc.Interned() {
-			t.Fatalf("n=%d: still interned after a window of misses", n)
+			t.Fatalf("n=%d: still interned after the miss that dooms the window (step %d)", n, bail)
 		}
 		gen.Run(1000)
 		acc.Run(1000)
 		assertEnginesEqual(t, gen, acc.Engine, "after the guard fired")
 	}
+}
+
+// TestReuseGuardBailsInsideDoomedWindow pins the guard on runs that end
+// before their window closes: a convergence run and a plain run whose
+// budgets stop inside a doomed first window fall back before they end,
+// and stay bit-identical to the generic engine.
+func TestReuseGuardBailsInsideDoomedWindow(t *testing.T) {
+	const n, seed = 16, 5
+	budget := uint64(reuseWindowFor(n) / 2)
+	gen, acc := newToyPairTrans(n, seed, 1<<20, toyTrans)
+	gen.SetTracker(NewRingTracker(toySpec()))
+	genStep, genOK := gen.RunUntilConverged(budget)
+	step, ok := acc.RunUntilConverged(budget)
+	if step != genStep || ok != genOK {
+		t.Fatalf("RunUntilConverged: interned (%d, %v) vs generic (%d, %v)", step, ok, genStep, genOK)
+	}
+	if acc.Interned() {
+		t.Fatalf("a %d-step convergence run ended interned inside a doomed %d-step window", budget, reuseWindowFor(n))
+	}
+	assertEnginesEqual(t, gen, acc.Engine, "after the convergence run")
+
+	gen, acc = newToyPairTrans(n, seed, 1<<20, toyTrans)
+	gen.Run(budget)
+	acc.Run(budget)
+	if acc.Interned() {
+		t.Fatalf("a %d-step run ended interned inside a doomed %d-step window", budget, reuseWindowFor(n))
+	}
+	assertEnginesEqual(t, gen, acc.Engine, "after the plain run")
 }
 
 // TestPrefillSuspendsGuard pins the warm-replay contract: a Prefill run
@@ -263,7 +295,7 @@ func TestPrefillSuspendsGuard(t *testing.T) {
 // engine that falls back drops only its own pointer to the tables, so a
 // second engine attached to the same Tables still reads the first one's
 // fills. The second engine replays the first's seed: it stays interned
-// through the window a cold run bails on, then falls back itself, and is
+// through the first engine's bail step, then falls back itself, and is
 // bit-identical to the generic engine throughout.
 func TestSharedTablesSurviveFallback(t *testing.T) {
 	const n, seed, steps = 16, 7, 10_000
@@ -272,10 +304,14 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil, NewRingTracker(toySpec()))
 	}
 	first := attach()
-	first.Run(steps)
+	for first.Interned() && first.Steps() < steps {
+		first.Run(1)
+	}
 	if first.Interned() {
 		t.Fatal("the minting run did not trip the reuse guard")
 	}
+	bail := first.Steps()
+	first.Run(steps - bail)
 	minted := tab.States()
 	if minted <= n {
 		t.Fatalf("tables hold %d states after the first run; want its mints beyond the %d initial states", minted, n)
@@ -284,7 +320,7 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 	second := attach()
 	gen := newToyEngine(n, seed, toyTrans)
 	gen.SetTracker(NewRingTracker(toySpec()))
-	for _, budget := range []uint64{uint64(reuseWindowFor(n)), steps} {
+	for _, budget := range []uint64{bail, steps} {
 		genStep, genOK := gen.RunUntilConverged(budget)
 		step, ok := second.RunUntilConverged(budget)
 		if step != genStep || ok != genOK {
@@ -292,8 +328,11 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 		}
 		assertEnginesEqual(t, gen, second.Engine, "second engine over the shared tables")
 		if budget < steps && !second.Interned() {
-			t.Fatal("second engine missed the first engine's fills and bailed on its first window")
+			t.Fatalf("second engine missed the first engine's fills and bailed by step %d", bail)
 		}
+	}
+	if second.Interned() {
+		t.Fatal("second engine stayed interned past the first engine's fills")
 	}
 	if tab.States() < minted {
 		t.Fatalf("tables shrank from %d to %d states", minted, tab.States())

@@ -94,12 +94,12 @@ type RingSpec[S any] struct {
 	// stays sound under any such choice), though it need not be the same
 	// check Residual would witness. ArcMaskMeta and ResidualMeta are each
 	// optional on their own; the generic closures serve wherever a meta
-	// form is absent. The generic RingTracker ignores all three.
-	// ResidualMeta may keep internal memoization (e.g. a last-failing-check
-	// hint) as long as its verdict stays exact for ANY meta slice it is
-	// handed — one spec instance serves many trials (same-cell trials
-	// sharing one table set, run back to back, each with its own meta
-	// slice), so a hint must be advisory, never load-bearing.
+	// form is absent. The generic RingTracker runs on meta words too (see
+	// MaskMetaBits). ResidualMeta may keep internal memoization (e.g. a
+	// last-failing-check hint) as long as its verdict stays exact for ANY
+	// meta slice it is handed — one spec instance serves many trials
+	// (same-cell trials sharing one table set, run back to back, each with
+	// its own meta slice), so a hint must be advisory, never load-bearing.
 	MetaID      func(s S) uint64
 	ArcMaskMeta func(l, r uint64) uint8
 	// AgentMaskMeta is the meta form of AgentMask, under the same
@@ -113,6 +113,12 @@ type RingSpec[S any] struct {
 	// ResidualMeta receives the per-agent meta words: meta[i] is
 	// MetaID(cfg[i]) for ring position i.
 	ResidualMeta func(c *LocalCounts, meta []uint64) (bool, Witness)
+	// MaskMetaBits is the set of meta-word bits ArcMaskMeta and
+	// AgentMaskMeta read: flipping any other bit of either argument must
+	// leave both masks unchanged. A spec that sets it together with
+	// MetaID, ArcMaskMeta, AgentMaskMeta, ResidualMeta and Gate puts the
+	// generic RingTracker in meta mode (see RingTracker).
+	MaskMetaBits uint64
 	// ArcNames and AgentNames label the condition channels for
 	// diagnostics: entry b names channel bit b of the arc (respectively
 	// agent) counts. Named channels are surfaced by SampleCounts as
@@ -222,9 +228,9 @@ func witnessVerdict[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCoun
 
 // witnessVerdictMeta is witnessVerdict with the residual evaluated over
 // the per-agent meta words through spec.ResidualMeta — same witness-caching
-// protocol, same exactness contract, for interned engines whose spec
-// carries the meta acceleration. Callers guarantee Gate and ResidualMeta
-// are non-nil.
+// protocol, same exactness contract, for trackers (interned mirror or
+// RingTracker in meta mode) whose spec carries the meta acceleration.
+// Callers guarantee Gate and ResidualMeta are non-nil.
 func witnessVerdictMeta[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, meta []uint64) bool {
 	if !spec.Gate(counts) {
 		return false
@@ -255,9 +261,19 @@ type CountSampler interface {
 // bits plus the per-channel match counts. An interaction touches two
 // adjacent agents, so at most two agent masks and four arc masks are
 // re-evaluated per Update — O(1) regardless of ring size.
+//
+// A spec carrying the meta-word acceleration (MetaID, ArcMaskMeta,
+// AgentMaskMeta, ResidualMeta, Gate and MaskMetaBits) puts the tracker in
+// meta mode: it keeps one MetaID word per agent, evaluates the masks and
+// the residual over those flat words, and skips the mask refresh of an
+// interaction whose two touched agents moved no MaskMetaBits bit — on
+// P_PL most interactions advance clocks and tokens without touching any
+// field a mask reads.
 type RingTracker[S any] struct {
 	spec      RingSpec[S]
 	cfg       []S
+	metaMode  bool     // the spec carries the whole meta-word acceleration
+	meta      []uint64 // meta mode only: meta[i] == spec.MetaID(cfg[i])
 	arcBits   []uint8
 	agentBits []uint8
 	counts    LocalCounts
@@ -272,7 +288,9 @@ func NewRingTracker[S any](spec RingSpec[S]) *RingTracker[S] {
 	if spec.Converged == nil {
 		panic("population: RingSpec needs a Converged verdict")
 	}
-	return &RingTracker[S]{spec: spec}
+	metaMode := spec.MetaID != nil && spec.ArcMaskMeta != nil && spec.AgentMaskMeta != nil &&
+		spec.ResidualMeta != nil && spec.Gate != nil && spec.MaskMetaBits != 0
+	return &RingTracker[S]{spec: spec, metaMode: metaMode}
 }
 
 // Counts returns the current per-channel match counts (for tests and
@@ -300,16 +318,22 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 	if len(t.arcBits) != n {
 		t.arcBits = make([]uint8, n)
 		t.agentBits = make([]uint8, n)
+		if t.metaMode {
+			t.meta = make([]uint64, n)
+		}
+	}
+	for i := range t.meta {
+		t.meta[i] = t.spec.MetaID(cfg[i])
 	}
 	t.counts = LocalCounts{}
 	t.wc.reset()
 	for i := 0; i < n; i++ {
 		var ab, gb uint8
 		if t.spec.ArcMask != nil {
-			ab = t.spec.ArcMask(cfg[i], cfg[(i+1)%n])
+			ab = t.arcMask(i)
 		}
 		if t.spec.AgentMask != nil {
-			gb = t.spec.AgentMask(cfg[i])
+			gb = t.agentMask(i)
 		}
 		t.arcBits[i], t.agentBits[i] = ab, gb
 		bumpCounts(&t.counts.Arc, 0, ab)
@@ -318,11 +342,20 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 }
 
 // Update implements ConvergenceTracker: it re-evaluates the conditions of
-// the two touched agents and of the (up to four) arcs incident to them.
+// the two touched agents and of the (up to four) arcs incident to them —
+// in meta mode only when either agent's meta word moved a mask bit.
 func (t *RingTracker[S]) Update(li, ri int32) {
 	n := len(t.cfg)
 	a, b := int(li), int(ri)
 	t.wc.note(a, b, n)
+	if t.meta != nil {
+		ma, mb := t.spec.MetaID(t.cfg[a]), t.spec.MetaID(t.cfg[b])
+		moved := (ma ^ t.meta[a]) | (mb ^ t.meta[b])
+		t.meta[a], t.meta[b] = ma, mb
+		if moved&t.spec.MaskMetaBits == 0 {
+			return
+		}
+	}
 	if t.spec.AgentMask != nil {
 		t.refreshAgent(a)
 		t.refreshAgent(b)
@@ -349,14 +382,35 @@ func (t *RingTracker[S]) Update(li, ri int32) {
 // Converged implements ConvergenceTracker. Specs that provide the
 // Gate/Residual split get the witness-cached path: the O(1) gate runs
 // every step, and a failing residual is only re-run after an interaction
-// touches its witness; specs without the split pay their full Converged
-// verdict every call, exactly as before.
+// touches its witness — over the meta words in meta mode; specs without
+// the split pay their full Converged verdict every call.
 func (t *RingTracker[S]) Converged() bool {
+	if t.meta != nil {
+		return witnessVerdictMeta(&t.wc, &t.spec, &t.counts, t.meta)
+	}
 	return witnessVerdict(&t.wc, &t.spec, &t.counts, t.cfg)
 }
 
+// agentMask evaluates agent i's condition bits, from its meta word in meta
+// mode and from its state otherwise.
+func (t *RingTracker[S]) agentMask(i int) uint8 {
+	if t.meta != nil {
+		return t.spec.AgentMaskMeta(t.meta[i])
+	}
+	return t.spec.AgentMask(t.cfg[i])
+}
+
+// arcMask evaluates the condition bits of the ring arc (i, i+1).
+func (t *RingTracker[S]) arcMask(i int) uint8 {
+	j := next(i, len(t.cfg))
+	if t.meta != nil {
+		return t.spec.ArcMaskMeta(t.meta[i], t.meta[j])
+	}
+	return t.spec.ArcMask(t.cfg[i], t.cfg[j])
+}
+
 func (t *RingTracker[S]) refreshAgent(i int) {
-	nw := t.spec.AgentMask(t.cfg[i])
+	nw := t.agentMask(i)
 	if old := t.agentBits[i]; old != nw {
 		t.agentBits[i] = nw
 		bumpAgentCounts(&t.counts, old, nw, i)
@@ -364,7 +418,7 @@ func (t *RingTracker[S]) refreshAgent(i int) {
 }
 
 func (t *RingTracker[S]) refreshArc(i int) {
-	nw := t.spec.ArcMask(t.cfg[i], t.cfg[(i+1)%len(t.cfg)])
+	nw := t.arcMask(i)
 	if old := t.arcBits[i]; old != nw {
 		t.arcBits[i] = nw
 		bumpCounts(&t.counts.Arc, old, nw)

@@ -178,8 +178,8 @@ func TestBudgetScaleClamp(t *testing.T) {
 }
 
 // TestRunBenchmarkModes exercises the public perf-baseline surface behind
-// cmd/bench in the raw and tracked modes and its input validation; the
-// tracked-vs-scan exactness lives in TestTrialTrackedMatchesScanOracle.
+// cmd/bench in the raw, tracked and cold modes and its input validation;
+// the tracked-vs-scan exactness lives in TestTrialTrackedMatchesScanOracle.
 func TestRunBenchmarkModes(t *testing.T) {
 	for _, mode := range []BenchMode{BenchRaw, BenchTracked} {
 		res, err := RunBenchmark("ppl", 16, 1, Scenario{}, mode, 5000)
@@ -192,6 +192,28 @@ func TestRunBenchmarkModes(t *testing.T) {
 		if mode == BenchRaw && res.Steps != 5000 {
 			t.Fatalf("raw mode ran %d steps, want the requested 5000", res.Steps)
 		}
+	}
+	// The cold mode times Trial itself: its row is the user trial's result.
+	for _, c := range []struct {
+		name string
+		n    int
+		seed uint64
+	}{{"ppl", 16, 1}, {"yokota", 32, 2}} {
+		res, err := RunBenchmark(c.name, c.n, c.seed, Scenario{}, BenchCold, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := NewProtocol(c.name)
+		want, err := p.Trial(Scenario{}, c.n, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != BenchCold || res.Steps != want.Steps || res.Converged != want.Converged || res.StepsPerSec <= 0 {
+			t.Fatalf("%s n=%d cold row %+v, Trial %+v", c.name, c.n, res, want)
+		}
+	}
+	if _, err := RunBenchmark("yokota", 16, 1, Scenario{Init: InitNoLeader}, BenchCold, 0); err == nil {
+		t.Fatal("cold mode accepted an unsupported scenario")
 	}
 	if _, err := RunBenchmark("paxos", 16, 1, Scenario{}, BenchTracked, 0); err == nil {
 		t.Fatal("unknown protocol accepted")
