@@ -162,6 +162,9 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support engine benchmarks", name)
 	}
 	n = p.FixSize(n)
+	if err := checkRingSize(p.Info(), n); err != nil {
+		return BenchResult{}, err
+	}
 	maxSteps := sc.MaxSteps(p, n)
 	var ru benchRunner
 	var seeds []uint64

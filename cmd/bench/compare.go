@@ -12,6 +12,9 @@ package main
 // engine that transfers across machines. Recovery steps need no
 // normalization at all: they are deterministic counts, identical on every
 // machine, so any drift is a semantic change in the engine or protocols.
+// The same holds row by row for the steps, converged and fallback fields
+// of the raw and convergence modes: a row that moves between the two files
+// is a changed result.
 
 import (
 	"encoding/json"
@@ -39,21 +42,22 @@ type cellStats struct {
 	rows      int
 }
 
-func loadBaseline(path string) (map[cellKey]cellStats, error) {
+// loadBaseline reads a baseline file's rows and aggregates them per cell.
+func loadBaseline(path string) (map[cellKey]cellStats, []repro.BenchResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+		return nil, nil, fmt.Errorf("%s: %v", path, err)
 	}
 	if f.Schema != Schema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, Schema)
+		return nil, nil, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, Schema)
 	}
 	cells := make(map[cellKey]cellStats)
 	for _, r := range f.Results {
-		k := cellKey{r.Protocol, r.N, r.Scenario, string(r.Mode)}
+		k := keyOf(r)
 		s := cells[k]
 		s.meanSPS += r.StepsPerSec
 		s.meanSteps += float64(r.Steps)
@@ -65,18 +69,53 @@ func loadBaseline(path string) (map[cellKey]cellStats, error) {
 		s.meanSteps /= float64(s.rows)
 		cells[k] = s
 	}
-	return cells, nil
+	return cells, f.Results, nil
+}
+
+func keyOf(r repro.BenchResult) cellKey {
+	return cellKey{r.Protocol, r.N, r.Scenario, string(r.Mode)}
+}
+
+// deterministicModes are the modes whose rows' steps, converged and
+// fallback are pure functions of the cell and the seed.
+var deterministicModes = map[repro.BenchMode]bool{
+	repro.BenchRaw: true, repro.BenchTracked: true, repro.BenchInterned: true,
+	repro.BenchLanes: true, repro.BenchCold: true,
+}
+
+// changedRows describes each deterministic-mode row present in both files
+// (same cell and seed) whose steps, converged or fallback differ.
+func changedRows(oldRows, newRows []repro.BenchResult) []string {
+	type rowKey struct {
+		cellKey
+		seed uint64
+	}
+	old := make(map[rowKey]repro.BenchResult)
+	for _, r := range oldRows {
+		if deterministicModes[r.Mode] {
+			old[rowKey{keyOf(r), r.Seed}] = r
+		}
+	}
+	var out []string
+	for _, r := range newRows {
+		o, ok := old[rowKey{keyOf(r), r.Seed}]
+		if ok && (o.Steps != r.Steps || o.Converged != r.Converged || o.Fallback != r.Fallback) {
+			out = append(out, fmt.Sprintf("%s n=%d %s %s seed=%d: steps %d → %d, converged %v → %v, fallback %v → %v",
+				r.Protocol, r.N, r.Scenario, r.Mode, r.Seed, o.Steps, r.Steps, o.Converged, r.Converged, o.Fallback, r.Fallback))
+		}
+	}
+	return out
 }
 
 // runCompare prints the per-cell ratio table and, when gate is set,
 // evaluates the regression thresholds. It returns ok=false when a gate
 // fails.
 func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTrackedRegress, maxRecoveryDrift float64) (bool, error) {
-	oldCells, err := loadBaseline(oldPath)
+	oldCells, oldRows, err := loadBaseline(oldPath)
 	if err != nil {
 		return false, err
 	}
-	newCells, err := loadBaseline(newPath)
+	newCells, newRows, err := loadBaseline(newPath)
 	if err != nil {
 		return false, err
 	}
@@ -222,6 +261,17 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 	}
 	if gate && recovCells == 0 {
 		fmt.Fprintln(stdout, "GATE WARN: no common recovery cells; recovery gate not evaluated")
+	}
+
+	// Gate 3: the deterministic fields, row by row — machine-independent
+	// like recovery steps, so any change is a changed result.
+	changed := changedRows(oldRows, newRows)
+	for _, line := range changed {
+		fmt.Fprintf(stdout, "result changed %s\n", line)
+	}
+	if gate && len(changed) > 0 {
+		fmt.Fprintf(stdout, "GATE FAIL: %d rows changed steps, converged or fallback\n", len(changed))
+		ok = false
 	}
 	if gate && ok {
 		fmt.Fprintln(stdout, "GATE PASS")

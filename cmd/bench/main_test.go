@@ -218,6 +218,22 @@ func TestBenchCompareGate(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("lost gated coverage not gated: ok=%v err=%v\n%s", ok, err, buf.String())
 	}
+	// A deterministic field moved: one more step on the tracked row fails
+	// the gate, although every throughput is unchanged.
+	doctored := compareFixture(t, dir, "doctored.json", 1000, 10000, 4000)
+	ddata, err := os.ReadFile(doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddata = bytes.Replace(ddata, []byte(`"steps": 1000,`), []byte(`"steps": 1001,`), 1)
+	if err := os.WriteFile(doctored, ddata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	ok, err = runCompare(&buf, oldPath, doctored, true, 0.20, 0.05)
+	if err != nil || ok || !bytes.Contains(buf.Bytes(), []byte("steps 1000 → 1001")) {
+		t.Fatalf("changed steps not gated: ok=%v err=%v\n%s", ok, err, buf.String())
+	}
 	// Without -gate the same comparison only reports.
 	buf.Reset()
 	ok, err = runCompare(&buf, oldPath, compareFixture(t, dir, "drift2.json", 1000, 10000, 4400), false, 0.20, 0.05)

@@ -183,11 +183,14 @@
 // (internal/population's InternedEngine): distinct states are interned
 // into dense integer IDs, the pairwise transition is memoized into a
 // lazily-filled (idL, idR) lookup table whose entries carry precomputed
-// leader-set deltas and tracker mask updates, and each interaction
-// replays as a handful of array loads instead of the full transition
-// cascade plus mask closures. Oracle protocols (fj's Ω?, chenchen's flag
-// census) keep one table per environment key and maintain their global
-// counters through precomputed per-entry deltas.
+// leader-set deltas and the successor pair's arc mask, and each
+// interaction replays as a handful of array loads instead of the full
+// transition cascade plus mask closures. The loop feeds the engine's one
+// convergence tracker (population.RingTracker, the same one the generic
+// engine feeds) from those entries and from per-ID mask and meta-word
+// tables. Oracle protocols (fj's Ω?, chenchen's flag census) keep one
+// table per environment key and maintain their global counters through
+// precomputed per-entry deltas.
 //
 // The packed-state core carries the layer into the O(n)-state regime:
 // each protocol ships a fixed-width PackedCodec (an injective ≤63-bit
@@ -214,7 +217,7 @@
 // the quarter, so a doomed window stops filling tables there, and a run
 // that ends inside one falls back too. Every cold P_PL trial from n≈16 up
 // falls back this way; the other five protocols stay interned. The
-// generic tracker that takes over runs on P_PL's meta words
+// tracker runs on P_PL's meta words on both paths
 // (RingSpec.MaskMetaBits): a mask refresh happens only when an
 // interaction moved a bit the masks read.
 //
@@ -239,8 +242,10 @@
 // the envelope), and its -compare subcommand diffs two baseline files
 // and gates CI: tracked-, interned- and lanes-mode throughput, each
 // normalized by the same file's runbatch rate (machine-portable) and
-// gated on its own geomean, must not regress more than 20%, and mean
-// recovery steps (deterministic counts) must not drift more than 5%
+// gated on its own geomean, must not regress more than 20%, mean
+// recovery steps (deterministic counts) must not drift more than 5%, and
+// no runbatch, tracked, interned, lanes or cold row present in both files
+// may change its steps, converged or fallback (deterministic too)
 // against the committed BENCH_baseline.json. CI uploads the resulting
 // BENCH_ringsim.json — schema "repro.bench/v1", an envelope of
 // Go/OS/arch/CPU provenance plus a flat results array — as an artifact on

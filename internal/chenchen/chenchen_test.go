@@ -234,7 +234,8 @@ func TestRunnerCensusMatchesRecount(t *testing.T) {
 	ru.SetStates(make([]State, n)) // one distinct state: interning starts
 	env, spec := ru.InternEnv(), ru.proto.StableSpec()
 	tab := population.NewTables(spec, IsLeader, nil, env, population.InternOptions{MaxStates: 3})
-	acc := population.AttachInterned(ru.Engine(), tab, env, population.NewRingTracker(spec))
+	acc := population.AttachInterned(ru.Engine(), tab, env)
+	acc.SetTracker(population.NewRingTracker(spec))
 	acc.RunUntilConverged(2_000_000)
 	if acc.Interned() {
 		t.Fatal("a 3-state cap did not force the capacity fallback")

@@ -1,12 +1,13 @@
 package core
 
-// Packed-state support for the interned engine (internal/population): a
+// Packed-state support for the engine (internal/population): a
 // fixed-width codec so the interner keys its table by one uint64 instead of
 // hashing the State struct, and the "meta word" acceleration — a second,
-// fixed-layout packing of exactly the fields SafetySpec's arc mask and
-// residual read, so the convergence verdict's hot scans (the segment-ID
-// chain, token soundness, war peacefulness) run over a flat per-agent
-// []uint64 instead of chasing 40-byte State structs. Both are pure
+// fixed-layout packing of exactly the fields SafetySpec's masks and
+// residual read, which puts the S_PL tracker in meta mode, so the
+// convergence verdict's hot scans (the segment-ID chain, token soundness,
+// war peacefulness) run over a flat per-agent []uint64 instead of chasing
+// 40-byte State structs. Both are pure
 // re-encodings: the codec round-trips every reachable state
 // (TestCodecRoundTrip) and the meta callbacks are pinned equal to their
 // State-level counterparts (TestMetaSpecEquivalence).

@@ -387,8 +387,8 @@ func (p Params) SafetySpec() population.RingSpec[State] {
 		ArcNames:   []string{"dist_violations", "lastdrop_violations"},
 		AgentNames: []string{"leaders", "last_flags", "live_bullets"},
 	}
-	// The interned engine's per-ID acceleration: a meta-word projection of
-	// the mask- and residual-relevant fields (packed.go), strictly
+	// The meta-word acceleration of the tracker's meta mode: a projection
+	// of the mask- and residual-relevant fields (packed.go), strictly
 	// equivalent to the closures above.
 	p.attachMeta(&spec)
 	return spec

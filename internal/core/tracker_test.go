@@ -103,3 +103,47 @@ func lockstepCounts(t *testing.T, mk func() *population.Engine[State], a, b popu
 		eb.Step()
 	}
 }
+
+// TestSafetySpecInternedFeed pins the interned loop's meta-word feed of
+// the S_PL tracker: after every step of an interned P_PL run over P_PL
+// tables, the installed meta-mode tracker's channel counts and verdict
+// equal those of a fresh tracker reset on the configuration — through the
+// reuse guard's bail to the generic engine and on past convergence.
+func TestSafetySpecInternedFeed(t *testing.T) {
+	for _, n := range []int{16, 32} {
+		p := NewParams(n)
+		codec, ok := p.Codec()
+		if !ok {
+			t.Fatalf("n=%d: no packed codec", n)
+		}
+		eng := population.NewEngine(population.DirectedRing(n), New(p).Step, xrand.New(3))
+		eng.SetStates(p.InitConfig("random", 3))
+		eng.TrackLeaders(IsLeader)
+		acc := population.AttachInterned(eng, population.NewTables(p.SafetySpec(), IsLeader, &codec, nil, population.InternOptions{}), nil)
+		tr := population.NewRingTracker(p.SafetySpec())
+		acc.SetTracker(tr)
+		internedSteps, tail := 0, 0
+		for acc.Steps() < budget(p) && tail < 256 {
+			if acc.Interned() {
+				internedSteps++
+			}
+			acc.Run(1)
+			fresh := population.NewRingTracker(p.SafetySpec())
+			fresh.Reset(acc.Config())
+			if got, want := tr.Counts(), fresh.Counts(); got != want {
+				t.Fatalf("n=%d step %d: counts %+v, fresh tracker %+v", n, acc.Steps(), got, want)
+			}
+			got, want := tr.Converged(), fresh.Converged()
+			if got != want {
+				t.Fatalf("n=%d step %d: verdict %v, fresh tracker %v", n, acc.Steps(), got, want)
+			}
+			if got {
+				tail++
+			}
+		}
+		if internedSteps == 0 || acc.Interned() || tail == 0 {
+			t.Fatalf("n=%d: %d interned steps, still interned %v, converged %v; want a reuse bail before convergence",
+				n, internedSteps, acc.Interned(), tail > 0)
+		}
+	}
+}

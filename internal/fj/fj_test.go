@@ -184,7 +184,7 @@ func TestRunnerCensusMatchesRecount(t *testing.T) {
 	ru.SetStates(make([]State, n)) // one distinct state: interning starts
 	env, spec := ru.InternEnv(), ru.proto.StableSpec()
 	tab := population.NewTables(spec, IsLeader, nil, env, population.InternOptions{MaxStates: 4})
-	acc := population.AttachInterned(ru.Engine(), tab, env, population.NewRingTracker(spec))
+	acc := population.AttachInterned(ru.Engine(), tab, env)
 	acc.Run(3000) // past convergence: the leader's bullets outgrow the cap
 	if acc.Interned() {
 		t.Fatal("a 4-state cap did not force the capacity fallback")

@@ -11,11 +11,11 @@ import "math"
 // precomputed: the successor IDs, whether the interaction is a no-op,
 // whether the leader set changed and by how much, the arc mask of the
 // successor pair, and the transition's effect on the oracle's backing
-// counters. Convergence tracking is mirrored at the ID level too: per-ID
-// agent masks replace the AgentMask closure, the interaction arc's mask
-// comes fused out of the memo entry, and specs that provide the MetaID
-// acceleration evaluate their residual over a per-ID table of packed meta
-// words instead of the configuration structs.
+// counters. The engine's convergence tracker (RingTracker) is fed from the
+// same entry: the touched agents' condition bits come from per-ID mask
+// tables and the interaction arc's mask fused out of the memo entry, and a
+// tracker in meta mode takes the agents' meta words from a per-ID table
+// instead of reading the configuration structs.
 //
 // All memoized state lives in a Tables value, which any number of engines
 // may share — same-cell trials sharing one table set, run back to back,
@@ -148,8 +148,8 @@ const (
 // metadata (leader bits, agent masks, MetaID words). One Tables serves any
 // number of engines of the same protocol — a cell's trials share one —
 // as long as all use is single-goroutine and every attached engine runs
-// the same transition, leader predicate and spec the tables were built
-// for.
+// the same transition and leader predicate the tables were built for, with
+// a tracker (if any) over the same spec.
 type Tables[S comparable] struct {
 	spec     RingSpec[S]
 	isLeader func(S) bool
@@ -226,38 +226,26 @@ func (t *Tables[S]) syncIDMeta() {
 // only the inner loop differs.
 type InternedEngine[S comparable] struct {
 	*Engine[S]
-	tab     *Tables[S]
-	env     *EnvSpec[S]
-	generic ConvergenceTracker[S]
+	tab *Tables[S]
+	env *EnvSpec[S]
 
 	ids   []uint32 // per-agent interned ID, mirror of Engine.states
 	idsOK bool
-	idGen uint64 // Engine.installGen the mirror was built at
-
-	// RingTracker mirror at the ID level. ameta mirrors the per-agent
-	// MetaID words (spec.MetaID specs only): ameta[i] = rmeta[ids[i]],
-	// maintained through the writebacks so arc masks and the residual load
-	// one flat word per agent instead of dereferencing the ID table.
-	arcBits   []uint8
-	agentBits []uint8
-	ameta     []uint64
-	counts    LocalCounts
-	mirrorOK  bool
-	wc        witnessCache
+	idGen uint64 // Engine.installGen the IDs were interned at
 
 	// Reuse guard (see reuseWindow): the current window's steps, misses, length.
 	winSteps, winMisses, winLen int
 
-	// lazyStates marks a run loop where the ID mirror is authoritative and
-	// the per-step Engine.states writeback is skipped: each applied
+	// lazyStates marks a run loop where the per-agent IDs are authoritative
+	// and the per-step Engine.states writeback is skipped: each applied
 	// interaction would otherwise load two states out of the interner's
 	// value array (random accesses into an array that outgrows cache on
 	// O(n)-state protocols) and struct-copy them into the configuration,
 	// which nothing reads before the loop exits. settle() rematerializes
 	// the configuration from the IDs at every loop exit — convergence,
 	// budget exhaustion, capacity or reuse fallback — so outside run loops
-	// Engine.states is always current. Only set by loops whose verdicts run
-	// entirely at the ID level (see lazyOn).
+	// Engine.states is always current. Only set by loops that read no
+	// configuration struct (see run).
 	lazyStates bool
 
 	fellBack bool
@@ -271,17 +259,18 @@ const (
 )
 
 // AttachInterned attaches the interned layer to e against a (possibly
-// shared, possibly warm) table set; generic is the tracker installed on
-// fallback. env must agree with the one the tables were built from: nil
-// for pure pairwise transitions, else the same Keys/Delta with this
-// engine's live Key/Apply. When env is nil and an observer is installed on
-// e, every run delegates to the generic path — observation means
-// per-interaction dispatch the interned loop does not do. When env is
-// non-nil, the engine's observer is by contract the env-counter maintainer
-// and is replaced by EnvSpec.Apply on the interned path. The engine's
-// leader predicate must be the one the tables were built with (per-ID
-// leader bits are shared).
-func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S], generic ConvergenceTracker[S]) *InternedEngine[S] {
+// shared, possibly warm) table set. env must agree with the one the tables
+// were built from: nil for pure pairwise transitions, else the same
+// Keys/Delta with this engine's live Key/Apply. When env is nil and an
+// observer is installed on e, every run delegates to the generic path —
+// observation means per-interaction dispatch the interned loop does not
+// do. When env is non-nil, the engine's observer is by contract the
+// env-counter maintainer and is replaced by EnvSpec.Apply on the interned
+// path. The engine's leader predicate must be the one the tables were
+// built with (per-ID leader bits are shared), and a tracker installed on e
+// must track the tables' spec: the interned loop feeds it condition bits
+// and meta words from the tables.
+func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S]) *InternedEngine[S] {
 	if (env == nil) != (t.envDelta == nil) {
 		panic("population: AttachInterned env does not match the tables' EnvSpec")
 	}
@@ -293,31 +282,24 @@ func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S], g
 	if (e.isLeader == nil) != (t.isLeader == nil) {
 		panic("population: AttachInterned engine leader tracking does not match the tables")
 	}
-	return &InternedEngine[S]{Engine: e, tab: t, env: env, generic: generic, winLen: reuseWindowFor(e.topo.N)}
+	return &InternedEngine[S]{Engine: e, tab: t, env: env, winLen: reuseWindowFor(e.topo.N)}
 }
 
 // Interned reports whether the layer is still interning (false once a
 // capacity or reuse fallback moved the engine to the generic path).
 func (g *InternedEngine[S]) Interned() bool { return !g.fellBack }
 
-// prepare readies the interned path: leaders recounted, the ID mirror
-// rebuilt if states were installed since it was last valid. It reports
-// false when the run must take the generic path instead (fallback already
-// happened, an observer or tracker demands per-interaction dispatch, or
-// re-interning overflowed the cap).
+// prepare readies the interned path: leaders recounted, the per-agent IDs
+// re-interned and the installed tracker reset if states were installed
+// since they were last valid. It reports false when the run must take the
+// generic path instead (fallback already happened, an observer demands
+// per-interaction dispatch, or re-interning overflowed the cap).
 func (g *InternedEngine[S]) prepare() bool {
 	if g.fellBack {
 		return false
 	}
 	e := g.Engine
 	if e.observer != nil && g.env == nil {
-		return false
-	}
-	if e.tracker != nil {
-		// An engine-level tracker means someone (a fallback, a direct
-		// SetTracker) wants per-interaction updates the interned loop does
-		// not dispatch; its own convergence runs use the ID-level mirror
-		// instead.
 		return false
 	}
 	if e.frozen != nil {
@@ -336,10 +318,14 @@ func (g *InternedEngine[S]) prepare() bool {
 			return false
 		}
 	}
+	if e.tracker != nil && e.trackerDirty {
+		e.tracker.Reset(e.states)
+		e.trackerDirty = false
+	}
 	return true
 }
 
-// reintern rebuilds the per-agent ID mirror from the engine's states.
+// reintern rebuilds the per-agent IDs from the engine's states.
 func (g *InternedEngine[S]) reintern() bool {
 	e := g.Engine
 	if len(g.ids) != e.topo.N {
@@ -356,19 +342,16 @@ func (g *InternedEngine[S]) reintern() bool {
 	}
 	g.tab.syncIDMeta()
 	g.idsOK, g.idGen = true, e.installGen
-	g.mirrorOK = false
 	return true
 }
 
 // fall abandons the interned layer permanently for this engine, releasing
-// its per-engine mirrors and its pointer to the tables; other engines
-// attached to the same Tables keep theirs.
+// its per-agent IDs and its pointer to the tables; other engines attached
+// to the same Tables keep theirs.
 func (g *InternedEngine[S]) fall() {
 	g.fellBack = true
 	g.ids = nil
 	g.idsOK = false
-	g.arcBits, g.agentBits, g.ameta = nil, nil, nil
-	g.mirrorOK = false
 	g.tab = nil
 }
 
@@ -425,14 +408,14 @@ func (g *InternedEngine[S]) fill(key uint32, idL, idR uint32) (uint64, bool) {
 }
 
 // applyInterned executes one interaction on the arc (li, ri) through the
-// memo tables, maintaining everything Engine.applyPair does. When mirror
-// is set the tracker mirror is kept in sync too. It reports stepFell after
-// a capacity fallback, in which case the interaction has been executed
-// by Engine.applyPair instead (observer included, so an EnvSpec
-// protocol's census never misses the delta); stepNoop when the memoized
-// interaction changes no state — then only the step counter advanced,
-// which is all the bookkeeping an identity transition requires.
-func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
+// memo tables, maintaining everything Engine.applyPair does, the installed
+// tracker included. It reports stepFell after a capacity fallback, in
+// which case the interaction has been executed by Engine.applyPair instead
+// (observer and tracker included, so an EnvSpec protocol's census never
+// misses the delta); stepNoop when the memoized interaction changes no
+// state — then only the step counter advanced, which is all the
+// bookkeeping an identity transition requires.
+func (g *InternedEngine[S]) applyInterned(li, ri int32) int {
 	e := g.Engine
 	t := g.tab
 	idL, idR := g.ids[li], g.ids[ri]
@@ -498,8 +481,12 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32, mirror bool) int {
 			e.leaderHook(e.step, e.leaderCount)
 		}
 	}
-	if mirror {
-		g.mirrorUpdate(int(li), int(ri), l2, r2, uint8(v>>arcMaskShift))
+	if tr := e.tracker; tr != nil {
+		if tr.meta != nil {
+			tr.updateMeta(int(li), int(ri), t.rmeta[l2], t.rmeta[r2])
+		} else {
+			tr.updateMasks(int(li), int(ri), t.amask[l2], t.amask[r2], uint8(v>>arcMaskShift))
+		}
 	}
 	return stepApplied
 }
@@ -518,25 +505,8 @@ func (g *InternedEngine[S]) reuseBail() bool {
 	return bail
 }
 
-// lazyOn enables lazy state materialization for the run loop about to
-// start, when every read the loop can perform is served at the ID level.
-// Oracle protocols stay eager: their fallback path replays the engine
-// observer over the configuration. converge marks a convergence loop,
-// which additionally needs the whole verdict chain — arc masks and the
-// residual — on the meta-word path, since the generic closures read
-// Engine.states after every applied step.
-func (g *InternedEngine[S]) lazyOn(converge bool) {
-	if g.env != nil {
-		return
-	}
-	if converge && (g.ameta == nil || g.tab.spec.Gate == nil || g.tab.spec.ResidualMeta == nil) {
-		return
-	}
-	g.lazyStates = true
-}
-
-// settle rematerializes Engine.states from the ID mirror and leaves lazy
-// mode. A no-op outside lazy mode, so every loop exit calls it
+// settle rematerializes Engine.states from the per-agent IDs and leaves
+// lazy mode. A no-op outside lazy mode, so every loop exit calls it
 // unconditionally.
 func (g *InternedEngine[S]) settle() {
 	if !g.lazyStates {
@@ -550,155 +520,15 @@ func (g *InternedEngine[S]) settle() {
 	g.lazyStates = false
 }
 
-// arcMaskAt returns the spec's arc mask for the ring arc (i, i+1) of the
-// current configuration — through the per-agent meta words when the spec
-// provides them, through the state-level closure otherwise.
-func (g *InternedEngine[S]) arcMaskAt(i int) uint8 {
-	t := g.tab
-	e := g.Engine
-	j := i + 1
-	if j == e.topo.N {
-		j = 0
-	}
-	if g.ameta != nil {
-		return t.spec.ArcMaskMeta(g.ameta[i], g.ameta[j])
-	}
-	return t.spec.ArcMask(e.states[i], e.states[j])
-}
-
-// ensureMirror (re)builds the tracker mirror from the current
-// configuration — the ID-level equivalent of RingTracker.Reset.
-func (g *InternedEngine[S]) ensureMirror() {
-	if g.mirrorOK {
-		return
-	}
-	n := g.Engine.topo.N
-	if len(g.agentBits) != n {
-		g.agentBits = make([]uint8, n)
-		g.arcBits = make([]uint8, n)
-	}
-	t := g.tab
-	if t.spec.MetaID != nil && t.spec.ArcMaskMeta != nil && t.spec.ResidualMeta != nil {
-		if len(g.ameta) != n {
-			g.ameta = make([]uint64, n)
-		}
-		for i := 0; i < n; i++ {
-			g.ameta[i] = t.rmeta[g.ids[i]]
-		}
-	}
-	g.counts = LocalCounts{}
-	g.wc.reset()
-	for i := 0; i < n; i++ {
-		var ab, gb uint8
-		if t.spec.ArcMask != nil {
-			ab = g.arcMaskAt(i)
-		}
-		if t.spec.AgentMask != nil {
-			gb = t.amask[g.ids[i]]
-		}
-		g.arcBits[i], g.agentBits[i] = ab, gb
-		bumpCounts(&g.counts.Arc, 0, ab)
-		bumpAgentCounts(&g.counts, 0, gb, i)
-	}
-	g.mirrorOK = true
-}
-
-// mirrorUpdate is the ID-level RingTracker.Update: the two touched agents'
-// masks come from the per-ID table, the up to four incident arcs from the
-// fused memo mask (for the interaction arc itself, when it is the ring arc
-// a→b) and the per-ID mask evaluation for the side arcs.
-func (g *InternedEngine[S]) mirrorUpdate(a, b int, l2, r2 uint32, fused uint8) {
-	n := g.Engine.topo.N
-	g.wc.note(a, b, n)
-	t := g.tab
-	if g.ameta != nil {
-		g.ameta[a] = t.rmeta[l2]
-		g.ameta[b] = t.rmeta[r2]
-	}
-	if t.spec.AgentMask != nil {
-		if g.ameta != nil && t.spec.AgentMaskMeta != nil {
-			// The meta words just written are still in registers; deriving
-			// the agent bits from them skips two random loads into the
-			// per-ID mask table.
-			g.refreshAgentBits(a, t.spec.AgentMaskMeta(g.ameta[a]))
-			g.refreshAgentBits(b, t.spec.AgentMaskMeta(g.ameta[b]))
-		} else {
-			g.refreshAgentID(a, l2)
-			g.refreshAgentID(b, r2)
-		}
-	}
-	if t.spec.ArcMask == nil {
-		return
-	}
-	if next(a, n) == b {
-		// The common directed-ring interaction (i, i+1): the middle arc's
-		// new mask is fused into the memo entry; only the two side arcs
-		// need evaluation.
-		g.setArcBits(a, fused)
-		g.refreshArc(prev(a, n))
-		g.refreshArc(b)
-		return
-	}
-	// Reversed or non-adjacent arcs (undirected rings): the fused mask is
-	// the interaction-order mask, not the ring-order one — evaluate all
-	// (up to four) incident arcs.
-	idx := [4]int{prev(a, n), a, prev(b, n), b}
-	for k, arc := range idx {
-		dup := false
-		for j := 0; j < k; j++ {
-			if idx[j] == arc {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			g.refreshArc(arc)
-		}
-	}
-}
-
-func (g *InternedEngine[S]) refreshAgentID(i int, id uint32) {
-	g.refreshAgentBits(i, g.tab.amask[id])
-}
-
-func (g *InternedEngine[S]) refreshAgentBits(i int, nw uint8) {
-	if old := g.agentBits[i]; old != nw {
-		g.agentBits[i] = nw
-		bumpAgentCounts(&g.counts, old, nw, i)
-	}
-}
-
-func (g *InternedEngine[S]) refreshArc(i int) {
-	g.setArcBits(i, g.arcMaskAt(i))
-}
-
-func (g *InternedEngine[S]) setArcBits(i int, nw uint8) {
-	if old := g.arcBits[i]; old != nw {
-		g.arcBits[i] = nw
-		bumpCounts(&g.counts.Arc, old, nw)
-	}
-}
-
-// convergedNow is the spec verdict over the mirrored counts — the same
-// witness-cached protocol as RingTracker.Converged, through the one
-// shared implementation; specs carrying the MetaID acceleration get their
-// residual evaluated over the per-agent meta words.
-func (g *InternedEngine[S]) convergedNow() bool {
-	t := g.tab
-	if t.spec.Gate != nil && t.spec.ResidualMeta != nil && g.ameta != nil {
-		return witnessVerdictMeta(&g.wc, &t.spec, &g.counts, g.ameta)
-	}
-	return witnessVerdict(&g.wc, &t.spec, &g.counts, g.Engine.states)
-}
-
 // Run executes exactly steps scheduler steps, interned when possible, with
 // the identical RNG stream, state trajectory and accounting of Engine.Run.
 func (g *InternedEngine[S]) Run(steps uint64) { g.run(g.Engine.step+steps, false) }
 
-// RunUntilConverged runs to the spec's convergence, mirroring
-// Engine.RunUntilConverged: the verdict runs after every single step, so
-// hitting times are exact; on mid-batch convergence the remaining pre-drawn
-// arcs stay pending for later runs.
+// RunUntilConverged runs until the engine's installed tracker reports
+// convergence, as Engine.RunUntilConverged does: the verdict runs after
+// every single step, so hitting times are exact; on mid-batch convergence
+// the remaining pre-drawn arcs stay pending for later runs. It panics if no
+// tracker is installed.
 func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 	return g.run(maxSteps, true)
 }
@@ -715,28 +545,32 @@ func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
 // run is the interned layer's one draw loop, behind Run, RunUntilConverged
 // and Prefill — Engine.run with table loads for transitions. It executes
 // steps until the step count reaches limit or, when converge is set, until
-// the mirrored verdict holds, and returns the step count and whether it
-// converged. Arcs come from the engine's pending buffer in the same batch
-// sizes as the generic loop. When prepare declines, on a capacity fallback
-// (the drawn arc has already run generically) and on a reuse bail the run
-// finishes on the generic engine through resume, on the exact same
-// scheduler stream. No-op steps skip the verdict — an interaction that
-// changes no state cannot flip a configuration predicate that was false
-// before it.
+// the installed tracker's verdict holds, and returns the step count and
+// whether it converged. Arcs come from the engine's pending buffer in the
+// same batch sizes as the generic loop. When prepare declines, on a
+// capacity fallback (the drawn arc has already run generically) and on a
+// reuse bail the run finishes on the generic engine through resume, on the
+// exact same scheduler stream. No-op steps skip the tracker and the
+// verdict — an interaction that changes no state cannot flip a
+// configuration predicate that was false before it.
 func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 	e := g.Engine
+	if converge && e.tracker == nil {
+		panic("population: RunUntilConverged without a tracker (call SetTracker)")
+	}
 	if !g.prepare() {
 		return g.resume(limit, converge)
 	}
-	if converge {
-		g.ensureMirror()
-		if g.convergedNow() {
-			return e.step, true
-		}
-	} else {
-		g.mirrorOK = false // not maintained outside convergence runs
+	tr := e.tracker
+	if converge && tr.Converged() {
+		return e.step, true
 	}
-	g.lazyOn(converge)
+	// Lazy states need a loop that reads no configuration struct. Oracle
+	// protocols stay eager, since their fallback path replays the engine
+	// observer over the configuration, and so does a loop feeding a
+	// closure-mode tracker, whose arc refreshes and residual read
+	// Engine.states; a meta-mode tracker reads only its meta words.
+	g.lazyStates = g.env == nil && (tr == nil || tr.metaMode)
 	for e.step < limit {
 		if e.pendStart == e.pendEnd {
 			e.refillPending(limit - e.step)
@@ -750,11 +584,11 @@ func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 			na := e.topo.Arcs[e.pendBuf[pf]]
 			g.tab.trans[0].prefetch(g.ids[na[0]], g.ids[na[1]])
 		}
-		switch g.applyInterned(arc[0], arc[1], converge) {
+		switch g.applyInterned(arc[0], arc[1]) {
 		case stepFell:
 			return g.resume(limit, converge)
 		case stepApplied:
-			if converge && g.convergedNow() {
+			if converge && tr.Converged() {
 				g.settle()
 				return e.step, true
 			}
@@ -769,10 +603,10 @@ func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 	return e.step, false
 }
 
-// resume finishes a run on the generic engine, with the generic tracker
-// installed for a convergence run. The generic engine advances states
-// without the ID mirror seeing it (installGen only tracks installs, not
-// interactions), so the mirror must be rebuilt before any later interned
+// resume finishes a run on the generic engine, which goes on feeding the
+// installed tracker. The generic engine advances states without the
+// interned IDs seeing it (installGen only tracks installs, not
+// interactions), so they must be re-interned before any later interned
 // run.
 func (g *InternedEngine[S]) resume(limit uint64, converge bool) (uint64, bool) {
 	e := g.Engine
@@ -781,37 +615,5 @@ func (g *InternedEngine[S]) resume(limit uint64, converge bool) (uint64, bool) {
 		e.run(limit, false)
 		return e.step, false
 	}
-	e.SetTracker(g.generic)
 	return e.RunUntilConverged(limit)
-}
-
-// SampleCounts exports the named channel counts over the current
-// configuration, byte-identical to the generic RingTracker's CountSampler
-// output.
-func (g *InternedEngine[S]) SampleCounts(dst map[string]float64) {
-	if g.prepare() {
-		g.ensureMirror()
-		for b, name := range g.tab.spec.ArcNames {
-			if name != "" {
-				dst[name] = float64(g.counts.Arc[b])
-			}
-		}
-		for b, name := range g.tab.spec.AgentNames {
-			if name != "" {
-				dst[name] = float64(g.counts.Agent[b])
-			}
-		}
-		return
-	}
-	if cs, ok := g.generic.(CountSampler); ok {
-		cs.SampleCounts(dst)
-	}
-}
-
-func next(i, n int) int {
-	i++
-	if i == n {
-		return 0
-	}
-	return i
 }

@@ -142,7 +142,7 @@ func newToyEngine(n int, seed uint64, trans Transition[uint16]) *Engine[uint16] 
 func newToyPairTrans(n int, seed uint64, cap int, trans Transition[uint16]) (*Engine[uint16], *InternedEngine[uint16]) {
 	gen := newToyEngine(n, seed, trans)
 	ie := newToyEngine(n, seed, trans)
-	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, nil, InternOptions{MaxStates: cap}), nil, NewRingTracker(toySpec()))
+	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, nil, InternOptions{MaxStates: cap}), nil)
 	return gen, acc
 }
 
@@ -243,6 +243,7 @@ func TestReuseGuardBailsInsideDoomedWindow(t *testing.T) {
 	budget := uint64(reuseWindowFor(n) / 2)
 	gen, acc := newToyPairTrans(n, seed, 1<<20, toyTrans)
 	gen.SetTracker(NewRingTracker(toySpec()))
+	acc.SetTracker(NewRingTracker(toySpec()))
 	genStep, genOK := gen.RunUntilConverged(budget)
 	step, ok := acc.RunUntilConverged(budget)
 	if step != genStep || ok != genOK {
@@ -271,7 +272,9 @@ func TestPrefillSuspendsGuard(t *testing.T) {
 	const n, seed, steps = 16, 5, 10_000
 	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
 	attach := func() *InternedEngine[uint16] {
-		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil, NewRingTracker(toySpec()))
+		acc := AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil)
+		acc.SetTracker(NewRingTracker(toySpec()))
+		return acc
 	}
 	warm, replay := attach(), attach()
 	warm.Prefill(steps)
@@ -301,7 +304,7 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 	const n, seed, steps = 16, 7, 10_000
 	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
 	attach := func() *InternedEngine[uint16] {
-		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil, NewRingTracker(toySpec()))
+		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil)
 	}
 	first := attach()
 	for first.Interned() && first.Steps() < steps {
@@ -318,6 +321,7 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 	}
 
 	second := attach()
+	second.SetTracker(NewRingTracker(toySpec()))
 	gen := newToyEngine(n, seed, toyTrans)
 	gen.SetTracker(NewRingTracker(toySpec()))
 	for _, budget := range []uint64{bail, steps} {
@@ -450,7 +454,7 @@ func TestInternedEnvFallbackKeepsCounters(t *testing.T) {
 		Apply: func(d uint32) { ieRu.even += int(d) - 2 },
 	}
 	// A cap of 40 forces the capacity fallback within the run.
-	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, env, InternOptions{MaxStates: 40}), env, NewRingTracker(toySpec()))
+	acc := AttachInterned(ie, NewTables(toySpec(), toyLeader, nil, env, InternOptions{MaxStates: 40}), env)
 	gen.Run(5000)
 	acc.Run(5000)
 	if acc.Interned() {
@@ -470,6 +474,8 @@ func TestInternedRunUntilConvergedMatches(t *testing.T) {
 	for _, cap := range []int{16, 1 << 20} {
 		gen, acc := newToyPair(8, 11, cap)
 		gen.SetTracker(NewRingTracker(toySpec()))
+		atr := NewRingTracker(toySpec())
+		acc.SetTracker(atr)
 		genStep, genOK := gen.RunUntilConverged(4000)
 		intStep, intOK := acc.RunUntilConverged(4000)
 		if genStep != intStep || genOK != intOK {
@@ -481,10 +487,83 @@ func TestInternedRunUntilConvergedMatches(t *testing.T) {
 		gtr := NewRingTracker(toySpec())
 		gtr.Reset(gen.Config())
 		gtr.SampleCounts(genCounts)
-		acc.SampleCounts(intCounts)
+		atr.SampleCounts(intCounts)
 		for k, v := range genCounts {
 			if intCounts[k] != v {
 				t.Fatalf("cap %d: channel %q = %v vs %v", cap, k, intCounts[k], v)
+			}
+		}
+	}
+}
+
+// toyWitnessSpec is toySpec with a Gate/Residual split whose verdict flips
+// often under toyReuseTrans: the gate wants an equal adjacent pair, the
+// residual an even agent 0, witnessed at position 0 alone.
+func toyWitnessSpec() RingSpec[uint16] {
+	spec := toySpec()
+	spec.Gate = func(c *LocalCounts) bool { return c.Arc[0] > 0 }
+	spec.Residual = func(_ *LocalCounts, cfg []uint16) (bool, Witness) {
+		return cfg[0]%2 == 0, Witness{Lo: 0, Hi: 0, Anchor: -1}
+	}
+	spec.Converged = func(c *LocalCounts, cfg []uint16) bool { return c.Arc[0] > 0 && cfg[0]%2 == 0 }
+	return spec
+}
+
+// TestInternedFeedMatchesFreshTracker pins the interned loop's tracker
+// feed: after every step of an interned toyReuseTrans run, the installed
+// tracker's counts and verdict equal those of a fresh tracker reset on the
+// configuration — on a directed ring (the fused arc mask and the two side
+// arcs), on an undirected ring (reversed arcs re-evaluate every incident
+// arc), and across a capacity fallback to the generic feed.
+func TestInternedFeedMatchesFreshTracker(t *testing.T) {
+	cases := []struct {
+		name       string
+		topo       Topology
+		cap        int
+		wantIntern bool
+	}{
+		{"directed", DirectedRing(16), 1 << 20, true},
+		{"undirected", UndirectedRing(16), 1 << 20, true},
+		// The 16 initial states plus the 19 of the cycle overflow a cap of
+		// 32 a few dozen steps in.
+		{"capacity-fallback", DirectedRing(16), 32, false},
+	}
+	for _, tc := range cases {
+		for _, spec := range []RingSpec[uint16]{toySpec(), toyWitnessSpec()} {
+			e := NewEngine(tc.topo, toyReuseTrans, xrand.New(17))
+			cfg := make([]uint16, tc.topo.N)
+			for i := range cfg {
+				cfg[i] = uint16(i * 11)
+			}
+			e.SetStates(cfg)
+			e.TrackLeaders(toyLeader)
+			acc := AttachInterned(e, NewTables(spec, toyLeader, nil, nil, InternOptions{MaxStates: tc.cap}), nil)
+			tr := NewRingTracker(spec)
+			acc.SetTracker(tr)
+			verdicts, internedSteps := 0, 0
+			for step := 0; step < 3000; step++ {
+				if acc.Interned() {
+					internedSteps++
+				}
+				acc.Run(1)
+				fresh := NewRingTracker(spec)
+				fresh.Reset(acc.Config())
+				if got, want := tr.Counts(), fresh.Counts(); got != want {
+					t.Fatalf("%s: step %d: counts %+v, fresh tracker %+v", tc.name, acc.Steps(), got, want)
+				}
+				got, want := tr.Converged(), fresh.Converged()
+				if got != want {
+					t.Fatalf("%s: step %d: verdict %v, fresh tracker %v", tc.name, acc.Steps(), got, want)
+				}
+				if got {
+					verdicts++
+				}
+			}
+			if acc.Interned() != tc.wantIntern || internedSteps < 20 {
+				t.Fatalf("%s: Interned() = %v after %d interned steps, want %v after at least 20", tc.name, acc.Interned(), internedSteps, tc.wantIntern)
+			}
+			if spec.Gate != nil && (verdicts == 0 || verdicts == 3000) {
+				t.Fatalf("%s: the witness spec's verdict never flipped (%d of 3000 steps true)", tc.name, verdicts)
 			}
 		}
 	}

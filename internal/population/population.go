@@ -97,12 +97,12 @@ type Engine[S any] struct {
 	lastLeaderChange uint64
 	leaderChanges    uint64
 
-	tracker      ConvergenceTracker[S]
+	tracker      *RingTracker[S]
 	trackerDirty bool
 
 	// installGen counts bulk/single state installs. The interned execution
 	// layer (interned.go) compares it against the generation its per-agent
-	// ID mirror was built at, so fault bursts installed through
+	// IDs were interned at, so fault bursts installed through
 	// SetStates/SetState are re-interned before the next interned step.
 	installGen uint64
 
@@ -224,11 +224,12 @@ func (e *Engine[S]) SetObserver(obs Observer[S]) { e.observer = obs }
 
 // SetTracker installs an incremental convergence tracker, immediately reset
 // against the current configuration; pass nil to remove it. While installed
-// the tracker is kept in sync by every execution path — Step, Run and
-// deterministic schedules alike — at O(1) cost per interaction, and
-// RunUntilConverged uses it to report exact hitting times. State installs
+// the tracker is kept in sync by every execution path — Step, Run,
+// deterministic schedules and an attached interned layer's loop alike — at
+// O(1) cost per interaction, and RunUntilConverged (the engine's and the
+// interned layer's) uses it to report exact hitting times. State installs
 // through SetStates/SetState reset it lazily before the next interaction.
-func (e *Engine[S]) SetTracker(t ConvergenceTracker[S]) {
+func (e *Engine[S]) SetTracker(t *RingTracker[S]) {
 	e.tracker = t
 	e.trackerDirty = false
 	if t != nil {

@@ -2,27 +2,6 @@ package population
 
 import "math/bits"
 
-// ConvergenceTracker maintains a convergence predicate incrementally while
-// the engine runs. The engine calls Update from applyPair after every
-// interaction (O(1) amortized), Reset after a bulk state install, and
-// Converged to ask whether the predicate holds at the current step — which
-// is what makes hitting times exact instead of quantized to a periodic
-// full-configuration scan.
-type ConvergenceTracker[S any] interface {
-	// Reset recomputes all tracker state from the configuration. The slice
-	// is the engine's live backing array: the tracker may retain it and
-	// read it on later calls, but must never write to it.
-	Reset(cfg []S)
-	// Update is called after the interaction on the arc (li, ri) has been
-	// applied to the configuration passed to Reset. Both agents' states
-	// may have changed; on a ring they are adjacent.
-	Update(li, ri int32)
-	// Converged reports whether the tracked predicate holds right now. It
-	// must be cheap when the answer is "no": RunUntilConverged calls it
-	// after every single step.
-	Converged() bool
-}
-
 // LocalCounts carries, per condition channel, the number of ring locations
 // currently matching the channel's condition: Arc[b] counts arcs (i, i+1)
 // whose ArcMask has bit b set, Agent[b] counts agents whose AgentMask has
@@ -75,14 +54,15 @@ type RingSpec[S any] struct {
 	// O(n) per interaction; witness caching reduces it to O(1) amortized).
 	Gate     func(c *LocalCounts) bool
 	Residual func(c *LocalCounts, cfg []S) (bool, Witness)
-	// MetaID, ArcMaskMeta and ResidualMeta are the optional meta-word
-	// acceleration of the spec for the interned engine (interned.go): when
-	// MetaID is non-nil, the engine maintains a per-agent slice of
-	// MetaID(state) words alongside the configuration and evaluates
-	// ArcMaskMeta/ResidualMeta over those words instead of calling the
-	// state-level closures — one flat uint64 load per agent instead of a
-	// struct read and a closure dispatch, which is what keeps the residual
-	// scans of large-state protocols (P_PL) off the interned hot path. The
+	// MetaID, ArcMaskMeta, AgentMaskMeta and ResidualMeta are the optional
+	// meta-word acceleration of the spec: a RingTracker in meta mode (see
+	// MaskMetaBits) keeps a per-agent slice of MetaID(state) words and
+	// evaluates the masks and the residual over those words instead of
+	// calling the state-level closures — one flat uint64 load per agent
+	// instead of a struct read and a closure dispatch, which is what keeps
+	// the residual scans of large-state protocols (P_PL) cheap. The
+	// interned engine feeds the tracker those words from its per-ID table
+	// (Tables), so its steps never read the configuration structs. The
 	// contract is strict equivalence:
 	//
 	//	ArcMaskMeta(MetaID(l), MetaID(r)) == ArcMask(l, r)
@@ -92,10 +72,8 @@ type RingSpec[S any] struct {
 	// The verdicts must match exactly; the Witness on a false verdict must
 	// pin a genuinely failing check of THIS configuration (witness caching
 	// stays sound under any such choice), though it need not be the same
-	// check Residual would witness. ArcMaskMeta and ResidualMeta are each
-	// optional on their own; the generic closures serve wherever a meta
-	// form is absent. The generic RingTracker runs on meta words too (see
-	// MaskMetaBits). ResidualMeta may keep internal memoization (e.g. a
+	// check Residual would witness. A spec missing any meta form runs on
+	// the closures alone. ResidualMeta may keep internal memoization (e.g. a
 	// last-failing-check hint) as long as its verdict stays exact for ANY
 	// meta slice it is handed — one spec instance serves many trials
 	// (same-cell trials sharing one table set, run back to back, each with
@@ -104,11 +82,10 @@ type RingSpec[S any] struct {
 	ArcMaskMeta func(l, r uint64) uint8
 	// AgentMaskMeta is the meta form of AgentMask, under the same
 	// equivalence contract: AgentMaskMeta(MetaID(s)) == AgentMask(s) at
-	// every reachable state. The interned engine's mirror refreshes a
-	// touched agent's condition bits from the meta word it just wrote
-	// instead of loading the per-ID mask table — on O(n)-state protocols
-	// that table is hundreds of KB of randomly indexed bytes, so the meta
-	// form removes two cache misses per applied interaction.
+	// every reachable state. In meta mode the tracker refreshes a touched
+	// agent's condition bits from its meta word, so interned steps skip the
+	// per-ID mask table — on O(n)-state protocols that table is hundreds of
+	// KB of randomly indexed bytes.
 	AgentMaskMeta func(m uint64) uint8
 	// ResidualMeta receives the per-agent meta words: meta[i] is
 	// MetaID(cfg[i]) for ring position i.
@@ -117,7 +94,7 @@ type RingSpec[S any] struct {
 	// AgentMaskMeta read: flipping any other bit of either argument must
 	// leave both masks unchanged. A spec that sets it together with
 	// MetaID, ArcMaskMeta, AgentMaskMeta, ResidualMeta and Gate puts the
-	// generic RingTracker in meta mode (see RingTracker).
+	// RingTracker in meta mode (see RingTracker).
 	MaskMetaBits uint64
 	// ArcNames and AgentNames label the condition channels for
 	// diagnostics: entry b names channel bit b of the arc (respectively
@@ -180,18 +157,14 @@ func (w Witness) contains(i, n int) bool {
 	return d <= span
 }
 
-// witnessCache is the residual-witness state shared by the two tracker
-// implementations (RingTracker and the interned engine's mirror): while a
-// witness is armed and untouched, the residual is known to still fail and
-// is not re-run. Keeping the protocol in one place keeps the two hitting-
-// time-exact paths in lockstep by construction.
+// witnessCache is RingTracker's residual-witness state: while a witness is
+// armed and untouched, the residual is known to still fail and is not
+// re-run.
 type witnessCache struct {
 	armed bool
 	dirty bool
 	w     Witness
 }
-
-func (c *witnessCache) reset() { c.armed = false }
 
 // note marks the cache dirty when either touched agent lies in the armed
 // witness's touch set. O(1); called after every interaction.
@@ -201,66 +174,16 @@ func (c *witnessCache) note(a, b, n int) {
 	}
 }
 
-// witnessVerdict runs the witness-cached Gate/Residual protocol over the
-// current counts and configuration, falling back to the spec's monolithic
-// Converged when the split is absent. It is the single copy of the
-// exactness-critical caching logic behind both RingTracker.Converged and
-// the interned engine's convergedNow (a free function because methods
-// cannot introduce type parameters).
-func witnessVerdict[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, cfg []S) bool {
-	if spec.Gate == nil || spec.Residual == nil {
-		return spec.Converged(counts, cfg)
-	}
-	if !spec.Gate(counts) {
-		return false
-	}
-	if c.armed && !c.dirty {
-		return false
-	}
-	ok, w := spec.Residual(counts, cfg)
-	if ok {
-		c.armed = false
-		return true
-	}
-	c.armed, c.dirty, c.w = true, false, w
-	return false
-}
-
-// witnessVerdictMeta is witnessVerdict with the residual evaluated over
-// the per-agent meta words through spec.ResidualMeta — same witness-caching
-// protocol, same exactness contract, for trackers (interned mirror or
-// RingTracker in meta mode) whose spec carries the meta acceleration.
-// Callers guarantee Gate and ResidualMeta are non-nil.
-func witnessVerdictMeta[S any](c *witnessCache, spec *RingSpec[S], counts *LocalCounts, meta []uint64) bool {
-	if !spec.Gate(counts) {
-		return false
-	}
-	if c.armed && !c.dirty {
-		return false
-	}
-	ok, w := spec.ResidualMeta(counts, meta)
-	if ok {
-		c.armed = false
-		return true
-	}
-	c.armed, c.dirty, c.w = true, false, w
-	return false
-}
-
-// CountSampler is the diagnostics face of a tracker: it exports the named
-// per-channel match counts so probes can record protocol-shape observables
-// (leader counts, live bullets, distance violations, …) without scanning
-// the configuration. RingTracker implements it.
-type CountSampler interface {
-	// SampleCounts writes each named channel's current match count into
-	// dst under its name. O(number of named channels).
-	SampleCounts(dst map[string]float64)
-}
-
-// RingTracker maintains a RingSpec incrementally: per-location condition
-// bits plus the per-channel match counts. An interaction touches two
-// adjacent agents, so at most two agent masks and four arc masks are
-// re-evaluated per Update — O(1) regardless of ring size.
+// RingTracker maintains a RingSpec incrementally while an engine runs:
+// per-location condition bits plus the per-channel match counts. It is the
+// engine's one convergence tracker (Engine.SetTracker), fed after every
+// interaction by whichever loop executes it: Update from the generic
+// applyPair, updateMeta or updateMasks from the interned loop's memo entry
+// and per-ID tables. An interaction touches two adjacent agents, so at
+// most two agent masks and four arc masks are re-evaluated — O(1)
+// regardless of ring size — and Converged, asked after every single step,
+// makes hitting times exact instead of quantized to a periodic
+// full-configuration scan.
 //
 // A spec carrying the meta-word acceleration (MetaID, ArcMaskMeta,
 // AgentMaskMeta, ResidualMeta, Gate and MaskMetaBits) puts the tracker in
@@ -278,7 +201,7 @@ type RingTracker[S any] struct {
 	agentBits []uint8
 	counts    LocalCounts
 
-	// Residual witness cache (see RingSpec.Residual and witnessCache).
+	// Residual witness cache (see RingSpec.Residual).
 	wc witnessCache
 }
 
@@ -297,7 +220,10 @@ func NewRingTracker[S any](spec RingSpec[S]) *RingTracker[S] {
 // diagnostics).
 func (t *RingTracker[S]) Counts() LocalCounts { return t.counts }
 
-// SampleCounts implements CountSampler over the spec's named channels.
+// SampleCounts writes each named channel's current match count into dst
+// under its name, so probes can record protocol-shape observables (leader
+// counts, live bullets, distance violations, …) without scanning the
+// configuration. O(number of named channels).
 func (t *RingTracker[S]) SampleCounts(dst map[string]float64) {
 	for b, name := range t.spec.ArcNames {
 		if name != "" {
@@ -311,7 +237,9 @@ func (t *RingTracker[S]) SampleCounts(dst map[string]float64) {
 	}
 }
 
-// Reset implements ConvergenceTracker.
+// Reset recomputes all tracker state from the configuration. The slice is
+// the engine's live backing array: the tracker retains it and reads it on
+// later calls, but never writes to it.
 func (t *RingTracker[S]) Reset(cfg []S) {
 	n := len(cfg)
 	t.cfg = cfg
@@ -326,7 +254,7 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 		t.meta[i] = t.spec.MetaID(cfg[i])
 	}
 	t.counts = LocalCounts{}
-	t.wc.reset()
+	t.wc.armed = false
 	for i := 0; i < n; i++ {
 		var ab, gb uint8
 		if t.spec.ArcMask != nil {
@@ -341,54 +269,90 @@ func (t *RingTracker[S]) Reset(cfg []S) {
 	}
 }
 
-// Update implements ConvergenceTracker: it re-evaluates the conditions of
-// the two touched agents and of the (up to four) arcs incident to them —
-// in meta mode only when either agent's meta word moved a mask bit.
+// Update is the generic feed, called after the interaction on the arc
+// (li, ri) has been applied to the configuration passed to Reset: it reads
+// the two touched agents' new meta words (meta mode) or condition bits off
+// their states.
 func (t *RingTracker[S]) Update(li, ri int32) {
-	n := len(t.cfg)
 	a, b := int(li), int(ri)
-	t.wc.note(a, b, n)
 	if t.meta != nil {
-		ma, mb := t.spec.MetaID(t.cfg[a]), t.spec.MetaID(t.cfg[b])
-		moved := (ma ^ t.meta[a]) | (mb ^ t.meta[b])
-		t.meta[a], t.meta[b] = ma, mb
-		if moved&t.spec.MaskMetaBits == 0 {
-			return
-		}
+		t.updateMeta(a, b, t.spec.MetaID(t.cfg[a]), t.spec.MetaID(t.cfg[b]))
+		return
+	}
+	var ga, gb, pair uint8
+	if t.spec.AgentMask != nil {
+		ga, gb = t.spec.AgentMask(t.cfg[a]), t.spec.AgentMask(t.cfg[b])
+	}
+	if t.spec.ArcMask != nil && next(a, len(t.cfg)) == b {
+		pair = t.spec.ArcMask(t.cfg[a], t.cfg[b])
+	}
+	t.updateMasks(a, b, ga, gb, pair)
+}
+
+// updateMeta is the meta-mode feed after an interaction of agents a and b:
+// ma and mb are their new meta words. The masks are re-evaluated only when
+// either word moved a MaskMetaBits bit.
+func (t *RingTracker[S]) updateMeta(a, b int, ma, mb uint64) {
+	t.wc.note(a, b, len(t.meta))
+	moved := (ma ^ t.meta[a]) | (mb ^ t.meta[b])
+	t.meta[a], t.meta[b] = ma, mb
+	if moved&t.spec.MaskMetaBits == 0 {
+		return
 	}
 	if t.spec.AgentMask != nil {
 		t.refreshAgent(a)
 		t.refreshAgent(b)
 	}
-	if t.spec.ArcMask == nil {
-		return
-	}
-	// Arcs whose pair includes agent a or b: (x-1, x) and (x, x+1).
-	idx := [4]int{prev(a, n), a, prev(b, n), b}
-	for k, arc := range idx {
-		dup := false
-		for j := 0; j < k; j++ {
-			if idx[j] == arc {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			t.refreshArc(arc)
-		}
+	if t.spec.ArcMask != nil {
+		t.refreshIncident(a, b)
 	}
 }
 
-// Converged implements ConvergenceTracker. Specs that provide the
-// Gate/Residual split get the witness-cached path: the O(1) gate runs
-// every step, and a failing residual is only re-run after an interaction
-// touches its witness — over the meta words in meta mode; specs without
-// the split pay their full Converged verdict every call.
-func (t *RingTracker[S]) Converged() bool {
-	if t.meta != nil {
-		return witnessVerdictMeta(&t.wc, &t.spec, &t.counts, t.meta)
+// updateMasks is the closure-mode feed after an interaction of agents a
+// and b: ga and gb are their new condition bits (zero when the spec has no
+// AgentMask), pair the arc bits of (a, b) in interaction order. When b
+// follows a on the ring, (a, b) is ring arc a, so only its two side arcs
+// are re-evaluated; otherwise all (up to four) incident arcs are.
+func (t *RingTracker[S]) updateMasks(a, b int, ga, gb, pair uint8) {
+	n := len(t.cfg)
+	t.wc.note(a, b, n)
+	t.setAgent(a, ga)
+	t.setAgent(b, gb)
+	if t.spec.ArcMask == nil {
+		return
 	}
-	return witnessVerdict(&t.wc, &t.spec, &t.counts, t.cfg)
+	if next(a, n) == b {
+		t.setArc(a, pair)
+		t.refreshArc(prev(a, n))
+		t.refreshArc(b)
+		return
+	}
+	t.refreshIncident(a, b)
+}
+
+// Converged reports whether the spec's predicate holds right now; the
+// engine asks after every single step, so it is cheap when the answer is
+// "no". Specs that provide the Gate/Residual split get the witness-cached
+// path: the O(1) gate runs every call, and a failing residual is only
+// re-run after an interaction touches its witness — over the meta words in
+// meta mode. Specs without the split pay their full Converged verdict
+// every call.
+func (t *RingTracker[S]) Converged() bool {
+	if t.meta == nil && (t.spec.Gate == nil || t.spec.Residual == nil) {
+		return t.spec.Converged(&t.counts, t.cfg)
+	}
+	if !t.spec.Gate(&t.counts) || t.wc.armed && !t.wc.dirty {
+		return false
+	}
+	var ok bool
+	var w Witness
+	if t.meta != nil {
+		ok, w = t.spec.ResidualMeta(&t.counts, t.meta)
+	} else {
+		ok, w = t.spec.Residual(&t.counts, t.cfg)
+	}
+	t.wc = witnessCache{armed: !ok, w: w}
+	return ok
 }
 
 // agentMask evaluates agent i's condition bits, from its meta word in meta
@@ -409,16 +373,37 @@ func (t *RingTracker[S]) arcMask(i int) uint8 {
 	return t.spec.ArcMask(t.cfg[i], t.cfg[j])
 }
 
-func (t *RingTracker[S]) refreshAgent(i int) {
-	nw := t.agentMask(i)
+func (t *RingTracker[S]) refreshAgent(i int) { t.setAgent(i, t.agentMask(i)) }
+
+func (t *RingTracker[S]) refreshArc(i int) { t.setArc(i, t.arcMask(i)) }
+
+// refreshIncident re-evaluates each ring arc incident to agent a or b —
+// (x-1, x) and (x, x+1) for both — once.
+func (t *RingTracker[S]) refreshIncident(a, b int) {
+	n := len(t.cfg)
+	idx := [4]int{prev(a, n), a, prev(b, n), b}
+	for k, arc := range idx {
+		dup := false
+		for j := 0; j < k; j++ {
+			if idx[j] == arc {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			t.refreshArc(arc)
+		}
+	}
+}
+
+func (t *RingTracker[S]) setAgent(i int, nw uint8) {
 	if old := t.agentBits[i]; old != nw {
 		t.agentBits[i] = nw
 		bumpAgentCounts(&t.counts, old, nw, i)
 	}
 }
 
-func (t *RingTracker[S]) refreshArc(i int) {
-	nw := t.arcMask(i)
+func (t *RingTracker[S]) setArc(i int, nw uint8) {
 	if old := t.arcBits[i]; old != nw {
 		t.arcBits[i] = nw
 		bumpCounts(&t.counts.Arc, old, nw)
@@ -450,6 +435,14 @@ func bumpAgentCounts(c *LocalCounts, old, nw uint8, idx int) {
 			c.AgentPos[b] -= idx
 		}
 	}
+}
+
+func next(i, n int) int {
+	i++
+	if i == n {
+		return 0
+	}
+	return i
 }
 
 func prev(i, n int) int {

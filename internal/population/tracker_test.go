@@ -145,6 +145,26 @@ func TestRunUntilConvergedPanicsWithoutTracker(t *testing.T) {
 	e.RunUntilConverged(10)
 }
 
+// TestInternedRunUntilConvergedPanicsWithoutTracker pins the interned
+// layer to the engine's contract: its convergence runs judge through the
+// tracker installed with SetTracker and have none of their own.
+func TestInternedRunUntilConvergedPanicsWithoutTracker(t *testing.T) {
+	for name, run := range map[string]func(*InternedEngine[uint16]){
+		"RunUntilConverged": func(acc *InternedEngine[uint16]) { acc.RunUntilConverged(10) },
+		"Prefill":           func(acc *InternedEngine[uint16]) { acc.Prefill(10) },
+	} {
+		_, acc := newToyPairTrans(8, 1, 1<<20, toyReuseTrans)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic without a tracker", name)
+				}
+			}()
+			run(acc)
+		}()
+	}
+}
+
 // TestRunUntilConvergedWithObserver pins observation under a convergence
 // run: an installed observer (the oracle protocols' census) must keep
 // firing while the tracker judges convergence, with the identical arc

@@ -65,7 +65,7 @@ type trialEngine[S comparable] struct {
 	eng     *population.Engine[S]
 	install func([]S)
 	corrupt func(rng *xrand.RNG, cur S) S
-	tracker population.ConvergenceTracker[S]
+	tracker *population.RingTracker[S]
 	accel   *population.InternedEngine[S]
 	pred    func([]S) bool
 }
@@ -160,12 +160,19 @@ func rejectChurn(info ProtocolInfo, sc Scenario) error {
 	return nil
 }
 
-// interned returns the trial's interned execution layer, or nil when a
-// test hook forces the generic engine or the scan-era oracle. A layer that
+// stepper is what trialEngine.run drives: the interned layer or the
+// generic engine.
+type stepper interface {
+	Run(steps uint64)
+	RunUntilConverged(maxSteps uint64) (uint64, bool)
+}
+
+// stepper returns the trial's interned execution layer, or the generic
+// engine when a test hook forces it or the scan-era oracle. A layer that
 // has fallen back delegates to the generic engine internally.
-func (te trialEngine[S]) interned() *population.InternedEngine[S] {
+func (te trialEngine[S]) stepper() stepper {
 	if internedOff.Load() || convergenceScanEvery.Load() > 0 {
-		return nil
+		return te.eng
 	}
 	return te.accel
 }
@@ -208,18 +215,14 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 		})
 		probe.Observe(TrialEvent{Kind: EventEpoch, Step: te.eng.Steps()})
 	}
-	acc := te.interned()
+	ru := te.stepper()
 	var frng, crng *xrand.RNG
 	epoch := 0
 	faults := sc.sortedFaults()
 	churns := sc.Sched.sortedChurn()
 	advance := func(to uint64) {
 		if to > te.eng.Steps() {
-			if acc != nil {
-				acc.Run(to - te.eng.Steps())
-			} else {
-				te.eng.Run(to - te.eng.Steps())
-			}
+			ru.Run(to - te.eng.Steps())
 		}
 	}
 	for len(faults) > 0 || len(churns) > 0 {
@@ -274,22 +277,15 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 	var steps uint64
 	var ok bool
 	var sample func(map[string]float64)
-	switch every := convergenceScanEvery.Load(); {
-	case every > 0:
+	if every := convergenceScanEvery.Load(); every > 0 {
 		steps, ok = te.eng.RunUntil(te.pred, int(every), maxSteps)
-	case acc != nil:
-		// The production default: the interned table-lookup layer, which
-		// judges convergence after every step through the mirrored tracker
-		// (and falls back to the generic tracker transparently if the
-		// interner's capacity cap is hit).
-		steps, ok = acc.RunUntilConverged(maxSteps)
-		sample = acc.SampleCounts
-	default:
+	} else {
+		// The incremental tracker judges convergence after every step, fed
+		// by whichever loop runs it: the interned layer's by default, the
+		// generic engine's after a fallback or under internedOff.
 		te.eng.SetTracker(te.tracker)
-		steps, ok = te.eng.RunUntilConverged(maxSteps)
-		if cs, sampled := te.tracker.(population.CountSampler); sampled {
-			sample = cs.SampleCounts
-		}
+		steps, ok = ru.RunUntilConverged(maxSteps)
+		sample = te.tracker.SampleCounts
 	}
 	res := TrialResult{
 		N: n, Seed: seed, Steps: steps,
@@ -345,13 +341,17 @@ func (te trialEngine[S]) benchTracked(maxSteps uint64) (uint64, bool) {
 // layer; the extra result reports whether the run stayed interned (false
 // when the capacity cap forced the generic fallback mid-run).
 func (te trialEngine[S]) benchInterned(maxSteps uint64) (uint64, bool, bool) {
+	te.eng.SetTracker(te.tracker)
 	steps, ok := te.accel.RunUntilConverged(maxSteps)
 	return steps, ok, te.accel.Interned()
 }
 
 // benchPrefill fills the interned tables along the run's trajectory to
 // convergence for a warm replay (population.InternedEngine.Prefill).
-func (te trialEngine[S]) benchPrefill(maxSteps uint64) { te.accel.Prefill(maxSteps) }
+func (te trialEngine[S]) benchPrefill(maxSteps uint64) {
+	te.eng.SetTracker(te.tracker)
+	te.accel.Prefill(maxSteps)
+}
 
 // stepCount returns the scheduler steps executed so far.
 func (te trialEngine[S]) stepCount() uint64 { return te.eng.Steps() }
@@ -566,13 +566,12 @@ func PPL(slack, c1 int) Protocol {
 			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
 			eng.SetStates(par.InitConfig(sc.Init.String(), seed))
 			eng.TrackLeaders(core.IsLeader)
-			tracker := population.NewRingTracker(par.SafetySpec())
 			applySched(eng, sc, seed)
 			return trialEngine[core.State]{
 				eng:     eng,
 				corrupt: func(rng *xrand.RNG, _ core.State) core.State { return par.RandomState(rng) },
-				tracker: tracker,
-				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				tracker: population.NewRingTracker(par.SafetySpec()),
+				accel:   population.AttachInterned(eng, tab, nil),
 				pred:    func(cfg []core.State) bool { return par.IsSafe(cfg) },
 			}
 		},
@@ -623,7 +622,6 @@ func orientProtocol() Protocol {
 			pr := orient.New()
 			eng := population.NewEngine(population.UndirectedRing(n), pr.Step, xrand.New(seed))
 			eng.SetStates(orient.InitialConfig(colors, xrand.New(seed^initSeedSalt)))
-			tracker := population.NewRingTracker(orient.OrientedSpec())
 			applySched(eng, sc, seed)
 			return trialEngine[orient.State]{
 				eng: eng,
@@ -638,8 +636,8 @@ func orientProtocol() Protocol {
 						Strong: rng.Bool(),
 					}
 				},
-				tracker: tracker,
-				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				tracker: population.NewRingTracker(orient.OrientedSpec()),
+				accel:   population.AttachInterned(eng, tab, nil),
 				pred:    orient.Oriented,
 			}
 		},
@@ -668,13 +666,12 @@ func yokotaProtocol() Protocol {
 			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
 			eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
 			eng.TrackLeaders(yokota.IsLeader)
-			tracker := population.NewRingTracker(pr.StableSpec())
 			applySched(eng, sc, seed)
 			return trialEngine[yokota.State]{
 				eng:     eng,
 				corrupt: func(rng *xrand.RNG, _ yokota.State) yokota.State { return pr.RandomState(rng) },
-				tracker: tracker,
-				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				tracker: population.NewRingTracker(pr.StableSpec()),
+				accel:   population.AttachInterned(eng, tab, nil),
 				pred:    pr.Stable,
 			}
 		},
@@ -709,13 +706,12 @@ func angluinProtocol() Protocol {
 			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
 			eng.SetStates(pr.RandomConfig(xrand.New(seed^initSeedSalt), n))
 			eng.TrackLeaders(angluin.IsLeader)
-			tracker := population.NewRingTracker(pr.StableSpec())
 			applySched(eng, sc, seed)
 			return trialEngine[angluin.State]{
 				eng:     eng,
 				corrupt: func(rng *xrand.RNG, _ angluin.State) angluin.State { return pr.RandomState(rng) },
-				tracker: tracker,
-				accel:   population.AttachInterned(eng, tab, nil, tracker),
+				tracker: population.NewRingTracker(pr.StableSpec()),
+				accel:   population.AttachInterned(eng, tab, nil),
 				pred:    pr.Stable,
 			}
 		},
@@ -744,14 +740,13 @@ func fjProtocol() Protocol {
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[fj.State]) trialEngine[fj.State] {
 			ru := fj.NewRunner(n, xrand.New(seed))
 			ru.SetStates(fj.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
-			tracker := population.NewRingTracker(fj.New().StableSpec())
 			applySched(ru.Engine(), sc, seed)
 			return trialEngine[fj.State]{
 				eng:     ru.Engine(),
 				install: ru.SetStates, // keep the oracle census in sync
 				corrupt: func(rng *xrand.RNG, _ fj.State) fj.State { return fj.New().RandomState(rng) },
-				tracker: tracker,
-				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
+				tracker: population.NewRingTracker(fj.New().StableSpec()),
+				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv()),
 				pred:    fj.Stable,
 			}
 		},
@@ -781,14 +776,13 @@ func chenchenProtocol() Protocol {
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[chenchen.State]) trialEngine[chenchen.State] {
 			ru := chenchen.NewRunner(n, xrand.New(seed))
 			ru.SetStates(chenchen.New().RandomConfig(xrand.New(seed^initSeedSalt), n))
-			tracker := population.NewRingTracker(chenchen.New().StableSpec())
 			applySched(ru.Engine(), sc, seed)
 			return trialEngine[chenchen.State]{
 				eng:     ru.Engine(),
 				install: ru.SetStates, // keep the flag census in sync
 				corrupt: func(rng *xrand.RNG, _ chenchen.State) chenchen.State { return chenchen.New().RandomState(rng) },
-				tracker: tracker,
-				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv(), tracker),
+				tracker: population.NewRingTracker(chenchen.New().StableSpec()),
+				accel:   population.AttachInterned(ru.Engine(), tab, ru.InternEnv()),
 				pred:    chenchen.Stable,
 			}
 		},

@@ -228,4 +228,20 @@ func TestRunBenchmarkModes(t *testing.T) {
 	if _, err := RunBenchmark("ppl", 16, 1, faulty, BenchTracked, 0); err == nil {
 		t.Fatal("fault schedule accepted — it would be silently skipped")
 	}
+	// A one-agent ring is an error in every mode, as it is for Trial — not
+	// a panic from the step budget or the ring constructor.
+	for _, name := range []string{"ppl", "yokota"} {
+		for _, mode := range []BenchMode{BenchRaw, BenchTracked, BenchInterned, BenchLanes, BenchCold} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s n=1 %s: panic %v", name, mode, r)
+					}
+				}()
+				if _, err := RunBenchmark(name, 1, 1, Scenario{}, mode, 100); err == nil {
+					t.Fatalf("%s n=1 %s: one-agent ring accepted", name, mode)
+				}
+			}()
+		}
+	}
 }
