@@ -197,6 +197,36 @@ func TestRingSizeBelowTwoIsAnError(t *testing.T) {
 	}
 }
 
+// FuzzTrial drives the built-in protocols' Trial over arbitrary ring sizes
+// and seeds under a tiny step budget: whatever it is handed, a trial
+// returns an error, or a result for the ring it was asked to run within
+// the budget — it never panics. The seeds include sizes FixSize would
+// change (orient below three agents, angluin at a multiple of k=2) and
+// rings below two agents.
+func FuzzTrial(f *testing.F) {
+	builtins := []string{"ppl", "orient", "yokota", "angluin", "fj", "chenchen"}
+	f.Add(uint8(0), int8(16), uint64(1))
+	f.Add(uint8(1), int8(2), uint64(1))
+	f.Add(uint8(3), int8(8), uint64(1))
+	f.Add(uint8(3), int8(9), uint64(7))
+	f.Add(uint8(4), int8(1), uint64(2))
+	f.Add(uint8(5), int8(-3), uint64(3))
+	sc := repro.Scenario{Budget: repro.Budget{Scale: 1e-4}}
+	f.Fuzz(func(t *testing.T, proto uint8, n int8, seed uint64) {
+		p, err := repro.NewProtocol(builtins[int(proto)%len(builtins)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Trial(sc, int(n), seed)
+		if err != nil {
+			return
+		}
+		if budget := sc.MaxSteps(p, int(n)); res.N != int(n) || res.Seed != seed || res.Steps > budget {
+			t.Fatalf("%s n=%d seed=%d: result %+v, budget %d", p.Info().Name, n, seed, res, budget)
+		}
+	})
+}
+
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -20,25 +21,29 @@ const (
 	// convergence checks.
 	BenchTracked BenchMode = "tracked"
 	// BenchInterned measures a run to convergence through the interned
-	// table-lookup execution layer (the trial default since the interned
-	// engine landed): transitions, leader accounting and tracker updates
+	// table-lookup execution layer (the trial path of every protocol that
+	// interns): transitions, leader accounting and tracker updates
 	// replayed as table loads, with transparent generic fallback when the
 	// interner's capacity cap is exceeded. The timed run goes through
 	// tables pre-filled by an untimed warmup run of the same trajectory,
 	// so the row reports the layer's steady-state lookup throughput — the
 	// one-time fill cost is measured separately by BenchLanes, amortized
-	// across a batch exactly as sweeps pay it.
+	// across a batch exactly as sweeps pay it. A protocol that attaches no
+	// tables (P_PL) skips the warmup, times the generic tracked run and
+	// reports Fallback.
 	BenchInterned BenchMode = "interned"
 	// BenchLanes measures a batch of same-cell trials sharing one
 	// transition-table set, run back to back (LaneTrials): per-trial
 	// results are bit-identical to BenchInterned, but the table fills and
 	// state interning amortize across the batch. Steps and steps/sec
-	// aggregate the whole batch; Lanes records the batch width.
+	// aggregate the whole batch; Lanes records the batch width. A protocol
+	// that attaches no tables runs the batch on the generic engine.
 	BenchLanes BenchMode = "lanes"
 	// BenchCold times one whole Protocol.Trial: table construction, the
-	// interned run from empty tables, any reuse-guard or capacity fallback
-	// and the generic finish. It is the path every library, service and
-	// fabric trial takes, so its steps equal Trial's.
+	// interned run from empty tables, any capacity fallback and the
+	// generic finish — or, for a protocol that attaches no tables, the
+	// generic run alone. It is the path every library, service and fabric
+	// trial takes, so its steps equal Trial's.
 	BenchCold BenchMode = "cold"
 )
 
@@ -66,16 +71,20 @@ type BenchResult struct {
 	// Converged reports whether the convergence modes hit their predicate
 	// within the budget; always true for BenchRaw.
 	Converged bool `json:"converged"`
-	// Fallback reports, for BenchInterned rows, that the timed run left the
-	// interned layer — the capacity cap, or the reuse guard on pairs the
-	// warmup did not fill — and finished on the generic engine; absent for
-	// every other mode. Fallback is the rule in cold trials: every cold
-	// P_PL trial from n≈16 up falls back through the reuse guard, inside
-	// BenchCold's timed region.
+	// Fallback reports, for BenchInterned rows, that the timed run did not
+	// finish on the interned layer: the capacity cap moved it to the
+	// generic engine, or the protocol attaches no tables at all (P_PL) and
+	// ran generically throughout. Absent for every other mode.
 	Fallback bool `json:"fallback,omitempty"`
 	// Lanes is the number of trials a BenchLanes row ran over its shared
 	// table set; absent for every other mode.
 	Lanes int `json:"lanes,omitempty"`
+	// Bytes and Allocs are the heap bytes and objects one run of the timed
+	// region allocates: runtime.MemStats TotalAlloc and Mallocs deltas
+	// around one extra, untimed repetition of it. Unlike the timing they
+	// are close to a pure function of the code and the seed.
+	Bytes  uint64 `json:"bytes"`
+	Allocs uint64 `json:"allocs"`
 }
 
 // Record converts the measurement to the streaming TrialRecord form, so
@@ -104,7 +113,7 @@ type benchRunner interface {
 	benchRaw(steps uint64)
 	benchTracked(maxSteps uint64) (uint64, bool)
 	benchInterned(maxSteps uint64) (steps uint64, converged, interned bool)
-	benchPrefill(maxSteps uint64)
+	benchFill(maxSteps uint64)
 	stepCount() uint64
 }
 
@@ -142,6 +151,9 @@ type engineProtocol interface {
 // since amortizing that construction across the batch is exactly what the
 // mode exists to measure. Steps sums the batch; Converged reports whether
 // every lane hit its predicate.
+//
+// The allocation count comes from a second, untimed run of the region:
+// reading runtime.MemStats stops the world, which must stay off the clock.
 func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, rawSteps uint64) (BenchResult, error) {
 	if len(sc.Faults) > 0 {
 		return BenchResult{}, fmt.Errorf("repro: RunBenchmark does not support fault schedules")
@@ -162,76 +174,105 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 		return BenchResult{}, fmt.Errorf("repro: protocol %q does not support engine benchmarks", name)
 	}
 	n = p.FixSize(n)
-	if err := checkRingSize(p.Info(), n); err != nil {
+	if err := checkRingSize(p, n); err != nil {
 		return BenchResult{}, err
 	}
-	maxSteps := sc.MaxSteps(p, n)
-	var ru benchRunner
-	var seeds []uint64
-	switch mode {
-	case BenchInterned:
-		// Steady-state measurement: an untimed warmup run over the shared
-		// table set fills the interner and pair tables, then the timed
-		// runner below replays the identical trajectory entirely warm. The
-		// warmup runs with the reuse guard suspended: its fills are exactly
-		// the ones the timed run reuses.
-		warm, timed, err := b.newBenchPair(sc, n, seed)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		warm.benchPrefill(maxSteps)
-		ru = timed
-	case BenchLanes:
-		seeds = make([]uint64, defaultBenchLanes)
-		for i := range seeds {
-			seeds[i] = seed + uint64(i)*benchLaneSeedStride
-		}
-	case BenchCold:
-		// Trial wires its own engine and tables inside the timed region.
-	default:
-		ru, err = b.newBench(sc, n, seed)
-		if err != nil {
-			return BenchResult{}, err
-		}
+	region, err := benchRegion(p, b, sc, n, seed, mode, rawSteps)
+	if err != nil {
+		return BenchResult{}, err
 	}
 	res := BenchResult{
 		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: mode, Seed: seed,
 	}
 	start := time.Now()
-	switch mode {
-	case BenchRaw:
-		ru.benchRaw(rawSteps)
-		res.Steps, res.Converged = rawSteps, true
-	case BenchTracked:
-		_, res.Converged = ru.benchTracked(maxSteps)
-		res.Steps = ru.stepCount()
-	case BenchInterned:
-		var interned bool
-		_, res.Converged, interned = ru.benchInterned(maxSteps)
-		res.Steps = ru.stepCount()
-		res.Fallback = !interned
-	case BenchLanes:
-		trials, err := b.LaneTrials(sc, n, seeds)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		res.Lanes, res.Converged = len(seeds), true
-		for _, tr := range trials {
-			res.Steps += tr.Steps
-			res.Converged = res.Converged && tr.Converged
-		}
-	case BenchCold:
-		tr, err := p.Trial(sc, n, seed)
-		if err != nil {
-			return BenchResult{}, err
-		}
-		res.Steps, res.Converged = tr.Steps, tr.Converged
-	default:
-		return BenchResult{}, fmt.Errorf("repro: unknown bench mode %q", mode)
+	if err := region(&res); err != nil {
+		return BenchResult{}, err
 	}
 	res.Seconds = time.Since(start).Seconds()
 	if res.Seconds > 0 {
 		res.StepsPerSec = float64(res.Steps) / res.Seconds
 	}
+	if region, err = benchRegion(p, b, sc, n, seed, mode, rawSteps); err != nil {
+		return BenchResult{}, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = region(&BenchResult{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return BenchResult{}, err
+	}
+	res.Bytes = after.TotalAlloc - before.TotalAlloc
+	res.Allocs = after.Mallocs - before.Mallocs
 	return res, nil
+}
+
+// benchRegion builds one unrun measurement of mode and returns its region:
+// the call RunBenchmark times, which fills in the row's steps, converged,
+// fallback and lanes fields.
+func benchRegion(p Protocol, b engineProtocol, sc Scenario, n int, seed uint64, mode BenchMode, rawSteps uint64) (func(*BenchResult) error, error) {
+	maxSteps := sc.MaxSteps(p, n)
+	switch mode {
+	case BenchRaw, BenchTracked:
+		ru, err := b.newBench(sc, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		if mode == BenchRaw {
+			return func(res *BenchResult) error {
+				ru.benchRaw(rawSteps)
+				res.Steps, res.Converged = rawSteps, true
+				return nil
+			}, nil
+		}
+		return func(res *BenchResult) error {
+			_, res.Converged = ru.benchTracked(maxSteps)
+			res.Steps = ru.stepCount()
+			return nil
+		}, nil
+	case BenchInterned:
+		// Steady-state measurement: an untimed warmup run over the shared
+		// table set fills the interner and pair tables, then the timed
+		// runner replays the identical trajectory entirely warm.
+		warm, timed, err := b.newBenchPair(sc, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		warm.benchFill(maxSteps)
+		return func(res *BenchResult) error {
+			var interned bool
+			_, res.Converged, interned = timed.benchInterned(maxSteps)
+			res.Steps = timed.stepCount()
+			res.Fallback = !interned
+			return nil
+		}, nil
+	case BenchLanes:
+		seeds := make([]uint64, defaultBenchLanes)
+		for i := range seeds {
+			seeds[i] = seed + uint64(i)*benchLaneSeedStride
+		}
+		return func(res *BenchResult) error {
+			trials, err := b.LaneTrials(sc, n, seeds)
+			if err != nil {
+				return err
+			}
+			res.Lanes, res.Converged = len(seeds), true
+			for _, tr := range trials {
+				res.Steps += tr.Steps
+				res.Converged = res.Converged && tr.Converged
+			}
+			return nil
+		}, nil
+	case BenchCold:
+		// Trial wires its own engine and tables inside the timed region.
+		return func(res *BenchResult) error {
+			tr, err := p.Trial(sc, n, seed)
+			if err != nil {
+				return err
+			}
+			res.Steps, res.Converged = tr.Steps, tr.Converged
+			return nil
+		}, nil
+	}
+	return nil, fmt.Errorf("repro: unknown bench mode %q", mode)
 }

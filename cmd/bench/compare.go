@@ -14,7 +14,9 @@ package main
 // machine, so any drift is a semantic change in the engine or protocols.
 // The same holds row by row for the steps, converged and fallback fields
 // of the raw and convergence modes: a row that moves between the two files
-// is a changed result.
+// is a changed result. A row's bytes and allocs — the heap cost of one run
+// of its timed region — are close to a pure function of the code and the
+// seed as well, so they are gated row by row without normalization.
 
 import (
 	"encoding/json"
@@ -37,39 +39,65 @@ type cellKey struct {
 
 // cellStats aggregates one file's rows for a cell.
 type cellStats struct {
-	meanSPS   float64 // mean steps/sec across trials
-	meanSteps float64 // mean steps across trials
-	rows      int
+	meanSPS    float64 // mean steps/sec across trials
+	meanSteps  float64 // mean steps across trials
+	meanBytes  float64 // mean bytes across trials
+	meanAllocs float64 // mean allocs across trials
+	rows       int
 }
 
+// Cost envelope: a row's bytes or allocs may grow by a tenth of the old
+// value or by the absolute slack, whichever is larger — the slack keeps
+// rows of a few KiB and a few dozen objects from flapping on runtime noise.
+const (
+	costGrowthDiv   = 10
+	costSlackBytes  = 1 << 10
+	costSlackAllocs = 2
+)
+
 // loadBaseline reads a baseline file's rows and aggregates them per cell.
-func loadBaseline(path string) (map[cellKey]cellStats, []repro.BenchResult, error) {
+// hasCost reports whether its rows record bytes and allocs: a file written
+// before they did decodes both as zero.
+func loadBaseline(path string) (cells map[cellKey]cellStats, rows []repro.BenchResult, hasCost bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
+		return nil, nil, false, fmt.Errorf("%s: %v", path, err)
 	}
 	if f.Schema != Schema {
-		return nil, nil, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, Schema)
+		return nil, nil, false, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, Schema)
 	}
-	cells := make(map[cellKey]cellStats)
+	var costs struct {
+		Results []struct {
+			Allocs *uint64 `json:"allocs"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &costs); err != nil {
+		return nil, nil, false, fmt.Errorf("%s: %v", path, err)
+	}
+	hasCost = len(costs.Results) > 0 && costs.Results[0].Allocs != nil
+	cells = make(map[cellKey]cellStats)
 	for _, r := range f.Results {
 		k := keyOf(r)
 		s := cells[k]
 		s.meanSPS += r.StepsPerSec
 		s.meanSteps += float64(r.Steps)
+		s.meanBytes += float64(r.Bytes)
+		s.meanAllocs += float64(r.Allocs)
 		s.rows++
 		cells[k] = s
 	}
 	for k, s := range cells {
 		s.meanSPS /= float64(s.rows)
 		s.meanSteps /= float64(s.rows)
+		s.meanBytes /= float64(s.rows)
+		s.meanAllocs /= float64(s.rows)
 		cells[k] = s
 	}
-	return cells, f.Results, nil
+	return cells, f.Results, hasCost, nil
 }
 
 func keyOf(r repro.BenchResult) cellKey {
@@ -83,39 +111,61 @@ var deterministicModes = map[repro.BenchMode]bool{
 	repro.BenchLanes: true, repro.BenchCold: true,
 }
 
-// changedRows describes each deterministic-mode row present in both files
-// (same cell and seed) whose steps, converged or fallback differ.
-func changedRows(oldRows, newRows []repro.BenchResult) []string {
+// diffRows matches the rows of the two files by cell and seed. It
+// describes each deterministic-mode row whose steps, converged or fallback
+// differ (changed) and, when both files record costs, each row whose bytes
+// or allocs grew past the cost envelope (grew).
+func diffRows(oldRows, newRows []repro.BenchResult, costs bool) (changed, grew []string) {
 	type rowKey struct {
 		cellKey
 		seed uint64
 	}
 	old := make(map[rowKey]repro.BenchResult)
 	for _, r := range oldRows {
-		if deterministicModes[r.Mode] {
-			old[rowKey{keyOf(r), r.Seed}] = r
-		}
+		old[rowKey{keyOf(r), r.Seed}] = r
 	}
-	var out []string
 	for _, r := range newRows {
 		o, ok := old[rowKey{keyOf(r), r.Seed}]
-		if ok && (o.Steps != r.Steps || o.Converged != r.Converged || o.Fallback != r.Fallback) {
-			out = append(out, fmt.Sprintf("%s n=%d %s %s seed=%d: steps %d → %d, converged %v → %v, fallback %v → %v",
-				r.Protocol, r.N, r.Scenario, r.Mode, r.Seed, o.Steps, r.Steps, o.Converged, r.Converged, o.Fallback, r.Fallback))
+		if !ok {
+			continue
+		}
+		label := fmt.Sprintf("%s n=%d %s %s seed=%d", r.Protocol, r.N, r.Scenario, r.Mode, r.Seed)
+		if deterministicModes[r.Mode] && (o.Steps != r.Steps || o.Converged != r.Converged || o.Fallback != r.Fallback) {
+			changed = append(changed, fmt.Sprintf("%s: steps %d → %d, converged %v → %v, fallback %v → %v",
+				label, o.Steps, r.Steps, o.Converged, r.Converged, o.Fallback, r.Fallback))
+		}
+		if costs && (costGrew(o.Bytes, r.Bytes, costSlackBytes) || costGrew(o.Allocs, r.Allocs, costSlackAllocs)) {
+			grew = append(grew, fmt.Sprintf("%s: bytes %d → %d, allocs %d → %d",
+				label, o.Bytes, r.Bytes, o.Allocs, r.Allocs))
 		}
 	}
-	return out
+	return changed, grew
+}
+
+// costGrew reports whether a cost grew from was to now by more than the
+// cost envelope allows.
+func costGrew(was, now, slack uint64) bool {
+	return now > was && now-was > max(was/costGrowthDiv, slack)
+}
+
+// costCell formats a cell's mean cost for the ratio table: "-" for a
+// file whose rows do not record it.
+func costCell(s cellStats, hasCost bool) (bytes, allocs string) {
+	if !hasCost {
+		return "-", "-"
+	}
+	return fmt.Sprintf("%.0f", s.meanBytes), fmt.Sprintf("%.0f", s.meanAllocs)
 }
 
 // runCompare prints the per-cell ratio table and, when gate is set,
 // evaluates the regression thresholds. It returns ok=false when a gate
 // fails.
 func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTrackedRegress, maxRecoveryDrift float64) (bool, error) {
-	oldCells, oldRows, err := loadBaseline(oldPath)
+	oldCells, oldRows, oldCost, err := loadBaseline(oldPath)
 	if err != nil {
 		return false, err
 	}
-	newCells, newRows, err := loadBaseline(newPath)
+	newCells, newRows, newCost, err := loadBaseline(newPath)
 	if err != nil {
 		return false, err
 	}
@@ -144,7 +194,7 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		fmt.Fprintf(stdout, "## baseline cell missing from %s: %s n=%d %s %s\n",
 			newPath, k.Protocol, k.N, k.Scenario, k.Mode)
 		switch k.Mode {
-		case string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), "recovery":
+		case string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), string(repro.BenchCold), "recovery":
 			lostGated = true
 		}
 	}
@@ -165,32 +215,36 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		return false, fmt.Errorf("no common cells between %s and %s", oldPath, newPath)
 	}
 
-	fmt.Fprintf(stdout, "%-9s %-5s %-12s %-9s %14s %14s %7s\n",
-		"protocol", "n", "scenario", "mode", "old steps/sec", "new steps/sec", "ratio")
+	fmt.Fprintf(stdout, "%-9s %-5s %-12s %-9s %14s %14s %7s %10s %10s %7s %7s\n",
+		"protocol", "n", "scenario", "mode", "old steps/sec", "new steps/sec", "ratio",
+		"old bytes", "new bytes", "old obj", "new obj")
 	for _, k := range keys {
 		o, n := oldCells[k], newCells[k]
 		ratio := math.NaN()
 		if o.meanSPS > 0 {
 			ratio = n.meanSPS / o.meanSPS
 		}
-		fmt.Fprintf(stdout, "%-9s %-5d %-12s %-9s %14.0f %14.0f %7.2f\n",
-			k.Protocol, k.N, k.Scenario, k.Mode, o.meanSPS, n.meanSPS, ratio)
+		ob, oa := costCell(o, oldCost)
+		nb, na := costCell(n, newCost)
+		fmt.Fprintf(stdout, "%-9s %-5d %-12s %-9s %14.0f %14.0f %7.2f %10s %10s %7s %7s\n",
+			k.Protocol, k.N, k.Scenario, k.Mode, o.meanSPS, n.meanSPS, ratio, ob, nb, oa, na)
 	}
 
 	ok := true
 	if gate && lostGated {
-		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/lanes/recovery) missing from the new measurement")
+		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/lanes/cold/recovery) missing from the new measurement")
 		ok = false
 	}
 	// Gate 1: normalized engine throughput, once per convergence-engine
-	// mode — tracked, interned and lanes each carry their own envelope, so
-	// a regression in the table-lookup layer cannot hide behind the
-	// tracked engine (or vice versa). Geometric mean across every cell
+	// mode — tracked, interned, lanes and cold each carry their own
+	// envelope, so a regression in the table-lookup layer cannot hide
+	// behind the tracked engine (or vice versa), nor one in trial setup
+	// behind either. Geometric mean across every cell
 	// with both the mode's row and a runbatch row in both files, so a
 	// single noisy cell cannot fail the build on its own while a broad
 	// regression cannot hide behind one improved cell either.
 	fmt.Fprintln(stdout)
-	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes)} {
+	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), string(repro.BenchCold)} {
 		logSum, cells := 0.0, 0
 		for _, k := range keys {
 			if k.Mode != mode {
@@ -209,8 +263,8 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		}
 		if cells == 0 {
 			// Only the tracked mode is mandatory: the seed baseline predates
-			// the interned and lanes modes, and -compare must keep working
-			// against it.
+			// the interned, lanes and cold modes, and -compare must keep
+			// working against it.
 			if gate && mode == string(repro.BenchTracked) {
 				fmt.Fprintf(stdout, "GATE WARN: no common %s+runbatch cells; %s gate not evaluated\n", mode, mode)
 			}
@@ -264,13 +318,22 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 	}
 
 	// Gate 3: the deterministic fields, row by row — machine-independent
-	// like recovery steps, so any change is a changed result.
-	changed := changedRows(oldRows, newRows)
+	// like recovery steps, so any change is a changed result. Gate 4: the
+	// allocation cost, row by row, under the cost envelope.
+	changed, grew := diffRows(oldRows, newRows, oldCost && newCost)
 	for _, line := range changed {
 		fmt.Fprintf(stdout, "result changed %s\n", line)
 	}
 	if gate && len(changed) > 0 {
 		fmt.Fprintf(stdout, "GATE FAIL: %d rows changed steps, converged or fallback\n", len(changed))
+		ok = false
+	}
+	for _, line := range grew {
+		fmt.Fprintf(stdout, "cost grew %s\n", line)
+	}
+	if gate && len(grew) > 0 {
+		fmt.Fprintf(stdout, "GATE FAIL: %d rows grew their bytes or allocs by more than 1/%d (slack %d B, %d allocs)\n",
+			len(grew), costGrowthDiv, costSlackBytes, costSlackAllocs)
 		ok = false
 	}
 	if gate && ok {

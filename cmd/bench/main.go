@@ -12,10 +12,11 @@
 // the exact number of steps the protocol needed to re-converge, and an
 // "eclipse" mode that partitions the ring (an eclipse scheduler kills
 // n/4 arcs for 2n² steps) and records the steps from the window closing
-// to re-convergence. CI uploads
-// the file as an artifact on every push and gates regressions against the
-// committed BENCH_baseline.json, so the perf trajectory of the engine is
-// recorded and enforced from this change on.
+// to re-convergence. Every row also records the heap bytes and objects
+// one run of its timed region allocates, counted on an extra, untimed
+// repetition. CI uploads the file as an artifact on every push and gates
+// regressions against the committed BENCH_baseline.json, so the perf
+// trajectory of the engine is recorded and enforced.
 //
 // Usage:
 //
@@ -36,13 +37,16 @@
 // share one consumer pipeline.
 //
 // -compare reads two baseline files and prints per-cell steps/sec ratios
-// (new/old). With -gate it exits non-zero when the tracked-, interned- or
-// lanes-mode throughput — each normalized by the same file's runbatch
-// throughput, so baselines recorded on different machines stay comparable,
-// and each gated by its own geomean so the table-lookup layer cannot hide
-// behind the tracked engine — regresses by more than -max-tracked-regress,
-// or when mean recovery steps (a machine-independent, deterministic count)
-// drift by more than -max-recovery-drift.
+// (new/old) next to each cell's mean bytes and allocs. With -gate it exits
+// non-zero when the tracked-, interned-, lanes- or cold-mode throughput —
+// each normalized by the same file's runbatch throughput, so baselines
+// recorded on different machines stay comparable, and each gated by its
+// own geomean so the table-lookup layer cannot hide behind the tracked
+// engine — regresses by more than -max-tracked-regress, when mean recovery
+// steps (a machine-independent, deterministic count) drift by more than
+// -max-recovery-drift, when a row present in both files changes its steps,
+// converged or fallback, or when its bytes or allocs grow past the cost
+// envelope (see compare.go).
 //
 // The schema of the emitted file is stable ("repro.bench/v1"): an
 // envelope with the Go/OS/arch/CPU provenance and a flat results array,
@@ -230,24 +234,13 @@ func measureRecovery(name string, n int, seed uint64, sc repro.Scenario) (repro.
 	if err := p.Validate(sc); err != nil {
 		return repro.BenchResult{}, err
 	}
-	start := time.Now()
-	res, err := p.Trial(sc, n, seed)
-	if err != nil {
-		return repro.BenchResult{}, err
-	}
-	seconds := time.Since(start).Seconds()
-	recovery := uint64(0)
-	if res.Steps > at {
-		recovery = res.Steps - at
-	}
-	out := repro.BenchResult{
-		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: "recovery", Seed: seed,
-		Steps: recovery, Seconds: seconds, Converged: res.Converged,
-	}
-	if seconds > 0 {
-		out.StepsPerSec = float64(recovery) / seconds
-	}
-	return out, nil
+	return trialRow(name, n, seed, sc, "recovery", func() (uint64, bool, error) {
+		res, err := p.Trial(sc, n, seed)
+		if err != nil || res.Steps <= at {
+			return 0, res.Converged, err
+		}
+		return res.Steps - at, res.Converged, nil
+	})
 }
 
 // measureEclipse times a full trial under an eclipse scheduler — a dead
@@ -278,22 +271,39 @@ func measureEclipse(name string, n int, seed uint64, sc repro.Scenario) (repro.B
 	if err := p.Validate(sc); err != nil {
 		return repro.BenchResult{}, err
 	}
-	probe := &repro.RecordingProbe{}
+	return trialRow(name, n, seed, sc, "eclipse", func() (uint64, bool, error) {
+		probe := &repro.RecordingProbe{}
+		res, err := repro.ProbeTrial(p, sc, n, seed, probe)
+		if err != nil {
+			return 0, false, err
+		}
+		return uint64(probe.Record().Observables["eclipse_recovery_steps"]), res.Converged, nil
+	})
+}
+
+// trialRow times one call of trial, a whole trial reduced to the row's
+// steps, and counts the heap bytes and objects of one more, untimed call:
+// reading runtime.MemStats stops the world, so it stays off the clock.
+func trialRow(name string, n int, seed uint64, sc repro.Scenario, mode string, trial func() (steps uint64, converged bool, err error)) (repro.BenchResult, error) {
 	start := time.Now()
-	res, err := repro.ProbeTrial(p, sc, n, seed, probe)
+	steps, converged, err := trial()
 	if err != nil {
 		return repro.BenchResult{}, err
 	}
 	seconds := time.Since(start).Seconds()
-	recovery := uint64(probe.Record().Observables["eclipse_recovery_steps"])
 	out := repro.BenchResult{
-		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: "eclipse", Seed: seed,
-		Steps: recovery, Seconds: seconds, Converged: res.Converged,
+		Protocol: name, N: n, Scenario: sc.Init.String(), Mode: repro.BenchMode(mode), Seed: seed,
+		Steps: steps, Seconds: seconds, Converged: converged,
 	}
 	if seconds > 0 {
-		out.StepsPerSec = float64(recovery) / seconds
+		out.StepsPerSec = float64(steps) / seconds
 	}
-	return out, nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = trial()
+	runtime.ReadMemStats(&after)
+	out.Bytes, out.Allocs = after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	return out, err
 }
 
 func run(stdout io.Writer, cfg config) error {
@@ -362,8 +372,8 @@ func run(stdout io.Writer, cfg config) error {
 						if res.Fallback {
 							note = " (fallback)"
 						}
-						fmt.Fprintf(stdout, "%-9s n=%-4d %-12s %-9s steps=%-9d %10.0f steps/sec%s\n",
-							name, res.N, class, mode, res.Steps, res.StepsPerSec, note)
+						fmt.Fprintf(stdout, "%-9s n=%-4d %-12s %-9s steps=%-9d %10.0f steps/sec %9d B %6d allocs%s\n",
+							name, res.N, class, mode, res.Steps, res.StepsPerSec, res.Bytes, res.Allocs, note)
 					}
 				}
 			}

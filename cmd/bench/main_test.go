@@ -25,8 +25,10 @@ func testConfig(out string) config {
 
 // TestBenchEmitsStableSchema runs a tiny full pipeline and pins the
 // BENCH_ringsim.json schema CI consumes: envelope fields, schema tag, and
-// per-result fields present and sane — now including the interned mode and
-// the bestof envelope field.
+// per-result fields present and sane — the interned mode, the bestof
+// envelope field and every row's bytes and allocs included. yokota's
+// interned row stays interned; P_PL attaches no tables, so its interned
+// row reports a fallback.
 func TestBenchEmitsStableSchema(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_ringsim.json")
 	var stdout bytes.Buffer
@@ -56,6 +58,17 @@ func TestBenchEmitsStableSchema(t *testing.T) {
 	if len(f.Results) != 6 {
 		t.Fatalf("got %d results, want 6:\n%s", len(f.Results), data)
 	}
+	var raw struct {
+		Results []map[string]json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range raw.Results {
+		if r["bytes"] == nil || r["allocs"] == nil {
+			t.Fatalf("result %d lacks bytes or allocs:\n%s", i, data)
+		}
+	}
 	interned := 0
 	for _, r := range f.Results {
 		if r.Protocol == "" || r.N != 8 || r.Steps == 0 || r.Seconds < 0 || !r.Converged {
@@ -65,8 +78,8 @@ func TestBenchEmitsStableSchema(t *testing.T) {
 		case "runbatch", "tracked":
 		case "interned":
 			interned++
-			if r.Fallback {
-				t.Fatalf("n=8 interned run fell back: %+v", r)
+			if r.Fallback != (r.Protocol == "ppl") {
+				t.Fatalf("n=8 interned row with fallback %v: %+v", r.Fallback, r)
 			}
 		default:
 			t.Fatalf("unknown mode in artifact: %+v", r)
@@ -121,21 +134,25 @@ func TestBenchRecoveryMode(t *testing.T) {
 }
 
 // compareFixture writes a synthetic baseline with one tracked, one
-// runbatch and one recovery row for the same cell.
+// runbatch, one cold and one recovery row for the same cell. The cold row
+// runs at half the tracked throughput; each row records a distinct
+// allocation cost.
 func compareFixture(t *testing.T, dir, name string, trackedSPS, rawSPS float64, recoverySteps uint64) string {
 	t.Helper()
-	row := func(mode string, sps float64, steps uint64) map[string]interface{} {
+	row := func(mode string, sps float64, steps, bytes, allocs uint64) map[string]interface{} {
 		return map[string]interface{}{
 			"protocol": "ppl", "n": 8, "scenario": "random", "mode": mode,
 			"seed": 1, "steps": steps, "seconds": 1.0, "steps_per_sec": sps, "converged": true,
+			"bytes": bytes, "allocs": allocs,
 		}
 	}
 	shape := map[string]interface{}{
 		"schema": Schema, "created": "t", "go": "g", "os": "o", "arch": "a", "cpus": 1, "bestof": 1,
 		"results": []interface{}{
-			row("tracked", trackedSPS, 1000),
-			row("runbatch", rawSPS, 5000),
-			row("recovery", 100, recoverySteps),
+			row("tracked", trackedSPS, 1000, 288, 4),
+			row("runbatch", rawSPS, 5000, 128, 1),
+			row("cold", trackedSPS/2, 1000, 40960, 24),
+			row("recovery", 100, recoverySteps, 3640, 28),
 		},
 	}
 	data, err := json.MarshalIndent(shape, "", " ")
@@ -149,10 +166,25 @@ func compareFixture(t *testing.T, dir, name string, trackedSPS, rawSPS float64, 
 	return path
 }
 
+// rewriteFixture applies edit to a copy of the fixture at path, written
+// next to it under name.
+func rewriteFixture(t *testing.T, path, name string, edit func([]byte) []byte) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(filepath.Dir(path), name)
+	if err := os.WriteFile(out, edit(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestBenchCompareGate pins the -compare subcommand: ratio table, the
-// normalized tracked-throughput gate (machine-independent: tracked
-// steps/sec divided by the same file's runbatch steps/sec) and the
-// recovery-drift gate.
+// normalized tracked- and cold-throughput gates (machine-independent:
+// steps/sec divided by the same file's runbatch steps/sec), the
+// recovery-drift gate, the row gate and the cost gate.
 func TestBenchCompareGate(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := compareFixture(t, dir, "old.json", 1000, 10000, 4000)
@@ -233,6 +265,51 @@ func TestBenchCompareGate(t *testing.T) {
 	ok, err = runCompare(&buf, oldPath, doctored, true, 0.20, 0.05)
 	if err != nil || ok || !bytes.Contains(buf.Bytes(), []byte("steps 1000 → 1001")) {
 		t.Fatalf("changed steps not gated: ok=%v err=%v\n%s", ok, err, buf.String())
+	}
+	// The cold row alone slowed 40% against runbatch: the cold envelope
+	// fails although tracked efficiency held.
+	slowCold := rewriteFixture(t, oldPath, "slowcold.json", func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"steps_per_sec": 500`), []byte(`"steps_per_sec": 300`), 1)
+	})
+	buf.Reset()
+	ok, err = runCompare(&buf, oldPath, slowCold, true, 0.20, 0.05)
+	if err != nil || ok || !bytes.Contains(buf.Bytes(), []byte("cold-mode throughput regressed")) {
+		t.Fatalf("cold regression not gated: ok=%v err=%v\n%s", ok, err, buf.String())
+	}
+	// The cold row's bytes grew 25% (beyond a tenth and the 1 KiB slack):
+	// the cost gate fails although every throughput held.
+	heavy := rewriteFixture(t, oldPath, "heavy.json", func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"bytes": 40960`), []byte(`"bytes": 51200`), 1)
+	})
+	buf.Reset()
+	ok, err = runCompare(&buf, oldPath, heavy, true, 0.20, 0.05)
+	if err != nil || ok || !bytes.Contains(buf.Bytes(), []byte("bytes 40960 → 51200")) {
+		t.Fatalf("cost growth not gated: ok=%v err=%v\n%s", ok, err, buf.String())
+	}
+	// Two more allocations on a 24-object row sit inside the slack.
+	noisy := rewriteFixture(t, oldPath, "noisy.json", func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"allocs": 24`), []byte(`"allocs": 26`), 1)
+	})
+	buf.Reset()
+	if ok, err = runCompare(&buf, oldPath, noisy, true, 0.20, 0.05); err != nil || !ok {
+		t.Fatalf("cost noise inside the slack gated: ok=%v err=%v\n%s", ok, err, buf.String())
+	}
+	// A file written before rows recorded their cost still compares, with
+	// no cost gate, in either direction.
+	costless := rewriteFixture(t, heavy, "costless.json", func(b []byte) []byte {
+		var kept [][]byte
+		for _, line := range bytes.Split(b, []byte("\n")) {
+			if !bytes.Contains(line, []byte(`"bytes"`)) && !bytes.Contains(line, []byte(`"allocs"`)) {
+				kept = append(kept, line)
+			}
+		}
+		return bytes.Join(kept, []byte("\n"))
+	})
+	for _, pair := range [][2]string{{costless, oldPath}, {oldPath, costless}} {
+		buf.Reset()
+		if ok, err = runCompare(&buf, pair[0], pair[1], true, 0.20, 0.05); err != nil || !ok {
+			t.Fatalf("%s against %s: ok=%v err=%v\n%s", pair[0], pair[1], ok, err, buf.String())
+		}
 	}
 	// Without -gate the same comparison only reports.
 	buf.Reset()

@@ -179,24 +179,25 @@
 //
 // # Interned execution engine
 //
-// Trials run by default on an interned execution layer
-// (internal/population's InternedEngine): distinct states are interned
-// into dense integer IDs, the pairwise transition is memoized into a
-// lazily-filled (idL, idR) lookup table whose entries carry precomputed
-// leader-set deltas and the successor pair's arc mask, and each
-// interaction replays as a handful of array loads instead of the full
-// transition cascade plus mask closures. The loop feeds the engine's one
-// convergence tracker (population.RingTracker, the same one the generic
-// engine feeds) from those entries and from per-ID mask and meta-word
-// tables. Oracle protocols (fj's Ω?, chenchen's flag census) keep one
-// table per environment key and maintain their global counters through
-// precomputed per-entry deltas.
+// Trials of the protocols whose state pairs repeat — the four constant-
+// state baselines, P_OR and the O(n)-state Yokota et al. protocol — run
+// on an interned execution layer (internal/population's InternedEngine):
+// distinct states are interned into dense integer IDs, the pairwise
+// transition is memoized into a lazily-filled (idL, idR) lookup table
+// whose entries carry precomputed leader-set deltas and the successor
+// pair's arc mask, and each interaction replays as a handful of array
+// loads instead of the full transition cascade plus mask closures. The
+// loop feeds the engine's one convergence tracker (population.RingTracker,
+// the same one the generic engine feeds) from those entries and from
+// per-ID mask tables. Oracle protocols (fj's Ω?, chenchen's flag census)
+// keep one table per environment key and maintain their global counters
+// through precomputed per-entry deltas.
 //
 // The packed-state core carries the layer into the O(n)-state regime:
-// each protocol ships a fixed-width PackedCodec (an injective ≤63-bit
-// encoding of its state struct, pinned by round-trip and fuzz tests)
-// that keys the interner through an open-addressed table instead of a
-// Go map; pair memos live in a dense array while the state count is
+// each interning protocol ships a fixed-width PackedCodec (an injective
+// ≤63-bit encoding of its state struct, pinned by round-trip and fuzz
+// tests) that keys the interner through an open-addressed table instead
+// of a Go map; pair memos live in a dense array while the state count is
 // small and migrate to an open-addressed hashed slab — interleaved
 // key/value words, fronted by a small direct-mapped cache and a software
 // prefetch of the next pair's lookup line — when it grows; the
@@ -207,18 +208,16 @@
 //
 // The layer is a pure accelerator: the RNG stream, step counts, leader
 // accounting, hitting times and probe event streams are bit-identical to
-// the generic engine (pinned by differential tests across all six
-// protocols, fuzzed seeds, adversarial schedulers and mid-run fault
-// bursts — the lane path included), and it falls back to the generic
-// path transparently when the run exceeds the interner's capacity cap or
-// its tables miss on more than a quarter of the steps in a window of
-// max(2048, 64·n) steps, whether or not the misses mint new states (the
-// reuse guard). The guard bails on the miss that takes the count past
-// the quarter, so a doomed window stops filling tables there, and a run
-// that ends inside one falls back too. Every cold P_PL trial from n≈16 up
-// falls back this way; the other five protocols stay interned. The
-// tracker runs on P_PL's meta words on both paths
-// (RingSpec.MaskMetaBits): a mask refresh happens only when an
+// the generic engine (pinned by differential tests across the five
+// interning protocols, fuzzed seeds, adversarial schedulers and mid-run
+// fault bursts — the lane path included), and it falls back to the
+// generic path transparently when the run exceeds the interner's
+// capacity cap.
+//
+// P_PL attaches no tables: a trial visits ~200·n distinct states, most of
+// them once, so pair memoization has nothing to reuse, and every P_PL
+// trial runs on the generic engine from step 0. Its tracker runs on P_PL's
+// meta words (RingSpec.MaskMetaBits): a mask refresh happens only when an
 // interaction moved a bit the masks read.
 //
 // # Performance baseline (BENCH_ringsim.json)
@@ -229,24 +228,29 @@
 // judgement — the ceiling), "tracked" (run-to-convergence through the
 // incremental tracker with exact hitting times), "interned"
 // (the table-lookup layer timed steady-state against tables pre-filled
-// by an untimed warmup run with the reuse guard suspended — warm tables
-// no user path runs — with its Fallback flag recorded per row), "lanes"
-// (same-cell trials sharing one table set, run back to back — the cold
-// fill paid once, amortized) and "cold" (one whole Protocol.Trial from
-// empty tables, fallback included — the path every user trial takes).
+// by an untimed warmup run — warm tables no user path runs — with its
+// Fallback flag recorded per row; P_PL, which attaches no tables, times
+// its generic tracked run and reports a fallback), "lanes" (same-cell
+// trials sharing one table set, run back to back — the cold fill paid
+// once, amortized) and "cold" (one whole Protocol.Trial from empty
+// tables, fallback included — the path every user trial takes). Every
+// row also records the heap bytes and objects one run of its timed
+// region allocates, counted on an extra, untimed repetition.
 // cmd/bench additionally measures "recovery" rows —
 // exact steps from a deterministic mid-run fault burst back to
 // convergence — and "eclipse" rows — exact steps from a deterministic
 // ring partition's window closing back to convergence — times every
 // measurement best-of-k (-bestof, recorded in
 // the envelope), and its -compare subcommand diffs two baseline files
-// and gates CI: tracked-, interned- and lanes-mode throughput, each
-// normalized by the same file's runbatch rate (machine-portable) and
+// and gates CI: tracked-, interned-, lanes- and cold-mode throughput,
+// each normalized by the same file's runbatch rate (machine-portable) and
 // gated on its own geomean, must not regress more than 20%, mean
-// recovery steps (deterministic counts) must not drift more than 5%, and
-// no runbatch, tracked, interned, lanes or cold row present in both files
-// may change its steps, converged or fallback (deterministic too)
-// against the committed BENCH_baseline.json. CI uploads the resulting
+// recovery steps (deterministic counts) must not drift more than 5%, no
+// runbatch, tracked, interned, lanes or cold row present in both files
+// may change its steps, converged or fallback (deterministic too), and
+// no row present in both may grow its bytes or allocs by more than a
+// tenth (with a small absolute slack) against the committed
+// BENCH_baseline.json. CI uploads the resulting
 // BENCH_ringsim.json — schema "repro.bench/v1", an envelope of
 // Go/OS/arch/CPU provenance plus a flat results array — as an artifact on
 // every push, so engine performance has a recorded and enforced

@@ -1,103 +1,17 @@
 package core
 
-// Packed-state support for the engine (internal/population): a
-// fixed-width codec so the interner keys its table by one uint64 instead of
-// hashing the State struct, and the "meta word" acceleration — a second,
-// fixed-layout packing of exactly the fields SafetySpec's masks and
-// residual read, which puts the S_PL tracker in meta mode, so the
-// convergence verdict's hot scans (the segment-ID chain, token soundness,
-// war peacefulness) run over a flat per-agent []uint64 instead of chasing
-// 40-byte State structs. Both are pure
-// re-encodings: the codec round-trips every reachable state
-// (TestCodecRoundTrip) and the meta callbacks are pinned equal to their
-// State-level counterparts (TestMetaSpecEquivalence).
+// The "meta word" acceleration of the S_PL tracker: a fixed-layout packing
+// of exactly the State fields SafetySpec's masks and residual read. It
+// puts the RingTracker in meta mode, so the convergence verdict's hot
+// scans (the segment-ID chain, token soundness, war peacefulness) run over
+// a flat per-agent []uint64 instead of chasing 40-byte State structs. The
+// meta callbacks are a pure re-encoding, pinned equal to their State-level
+// counterparts (TestMetaSpecEquivalence).
 
 import (
-	"math/bits"
-
 	"repro/internal/population"
 	"repro/internal/war"
 )
-
-// Codec returns the fixed-width state codec for parameters p, laid out
-// low-to-high as leader, b, dist, last, black token, white token, clock,
-// hits, signalR, war. Tokens pack as (Pos+ψ, Bit, Carry) with a zero
-// position field for ⊥ (Pos+ψ ∈ [1, 2ψ], never 0). At the defaults
-// (ψ = ⌈log₂ n⌉ + slack, κ = 8ψ) the total stays in the mid-50s of bits;
-// ok is false in the contrived parameterizations where it would exceed the
-// packed interner's 63-bit ceiling, and callers then fall back to the
-// map-keyed interner.
-func (p Params) Codec() (population.PackedCodec[State], bool) {
-	psi := p.Psi
-	posBits := bits.Len(uint(2 * psi))
-	tokBits := posBits + 2
-	distBits := bits.Len(uint(2*psi - 1))
-	clockBits := bits.Len(uint(p.KappaMax))
-	hitsBits := bits.Len(uint(psi))
-	total := 3 + distBits + 2*tokBits + 2*clockBits + hitsBits + war.PackBits
-	if total > 63 {
-		return population.PackedCodec[State]{}, false
-	}
-	sB := 1
-	sDist := sB + 1
-	sLast := sDist + distBits
-	sTokB := sLast + 1
-	sTokW := sTokB + tokBits
-	sClock := sTokW + tokBits
-	sHits := sClock + clockBits
-	sSig := sHits + hitsBits
-	sWar := sSig + clockBits
-
-	encTok := func(t Token) uint64 {
-		var v uint64
-		if t.Pos != 0 {
-			v = uint64(int(t.Pos) + psi)
-		}
-		return v | uint64(t.Bit)<<posBits | uint64(t.Carry)<<(posBits+1)
-	}
-	posMask := uint64(1)<<posBits - 1
-	decTok := func(v uint64) Token {
-		t := Token{
-			Bit:   uint8(v >> posBits & 1),
-			Carry: uint8(v >> (posBits + 1) & 1),
-		}
-		if pv := v & posMask; pv != 0 {
-			t.Pos = int16(int(pv) - psi)
-		}
-		return t
-	}
-
-	return population.PackedCodec[State]{
-		Bits: total,
-		Enc: func(s State) uint64 {
-			v := uint64(s.B)<<sB | uint64(s.Dist)<<sDist |
-				encTok(s.TokB)<<sTokB | encTok(s.TokW)<<sTokW |
-				uint64(s.Clock)<<sClock | uint64(s.Hits)<<sHits |
-				uint64(s.SignalR)<<sSig | war.Pack(s.War)<<sWar
-			if s.Leader {
-				v |= 1
-			}
-			if s.Last {
-				v |= 1 << sLast
-			}
-			return v
-		},
-		Dec: func(v uint64) State {
-			return State{
-				Leader:  v&1 != 0,
-				B:       uint8(v >> sB & 1),
-				Dist:    uint16(v >> sDist & (1<<distBits - 1)),
-				Last:    v>>sLast&1 != 0,
-				TokB:    decTok(v >> sTokB & (1<<tokBits - 1)),
-				TokW:    decTok(v >> sTokW & (1<<tokBits - 1)),
-				Clock:   uint16(v >> sClock & (1<<clockBits - 1)),
-				Hits:    uint16(v >> sHits & (1<<hitsBits - 1)),
-				SignalR: uint16(v >> sSig & (1<<clockBits - 1)),
-				War:     war.Unpack(v >> sWar),
-			}
-		},
-	}, true
-}
 
 // Meta word layout: the SafetySpec-relevant projection of a State, at
 // fixed shifts (Validate caps ψ at 60, so dist < 120 fits 8 bits and the

@@ -11,8 +11,8 @@ import (
 // reachableSample returns a mixed sample of P_PL states under p: random
 // valid states (a superset of reachable) plus states actually reached by
 // evolving every initial-configuration class under the real transition, so
-// the codec and meta tests cover both the declared domain and the states
-// executions visit.
+// the meta tests cover both the declared domain and the states executions
+// visit.
 func reachableSample(t *testing.T, p Params, seed uint64) []State {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -40,83 +40,11 @@ func reachableSample(t *testing.T, p Params, seed uint64) []State {
 	return out
 }
 
-// TestCodecRoundTrip pins the packed codec over random valid states and
-// transition-reachable states across ring sizes: Dec(Enc(s)) == s, Enc
-// stays under the declared width, and Enc is injective.
-func TestCodecRoundTrip(t *testing.T) {
-	for _, n := range []int{4, 16, 33, 64, 256} {
-		p := NewParams(n)
-		c, ok := p.Codec()
-		if !ok {
-			t.Fatalf("n=%d: canonical parameters must have a codec", n)
-		}
-		if c.Bits < 1 || c.Bits > 63 {
-			t.Fatalf("n=%d: codec width %d outside [1, 63]", n, c.Bits)
-		}
-		seen := make(map[uint64]State)
-		for _, s := range reachableSample(t, p, uint64(n)) {
-			v := c.Enc(s)
-			if v >= 1<<c.Bits {
-				t.Fatalf("n=%d: Enc(%+v) = %#x exceeds %d bits", n, s, v, c.Bits)
-			}
-			if got := c.Dec(v); got != s {
-				t.Fatalf("n=%d: round trip: %+v -> %#x -> %+v", n, s, v, got)
-			}
-			if prev, dup := seen[v]; dup && prev != s {
-				t.Fatalf("n=%d: collision: %+v and %+v both pack to %#x", n, prev, s, v)
-			}
-			seen[v] = s
-		}
-	}
-}
-
-// TestCodecRejectsOversized pins the fallback contract: parameterizations
-// whose packed form would not fit the interner's 63-bit ceiling return no
-// codec instead of a truncating one.
-func TestCodecRejectsOversized(t *testing.T) {
-	p := Params{N: 1 << 20, Psi: 60, KappaMax: 1 << 30}
-	if _, ok := p.Codec(); ok {
-		t.Fatal("oversized parameterization produced a codec")
-	}
-	if _, ok := NewParams(64).Codec(); !ok {
-		t.Fatal("canonical n=64 parameters must produce a codec")
-	}
-}
-
-// TestPackedInternerCollisionFree feeds a reachable-state sample through
-// the packed interner: one distinct ID per distinct state, stable on
-// re-intern, with Value and Packed inverting the mint.
-func TestPackedInternerCollisionFree(t *testing.T) {
-	p := NewParams(64)
-	c, _ := p.Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
-	distinct := make(map[State]uint32)
-	for _, s := range reachableSample(t, p, 7) {
-		id, ok := in.Intern(s)
-		if !ok {
-			t.Fatalf("intern %+v failed below cap", s)
-		}
-		if prev, dup := distinct[s]; dup {
-			if id != prev {
-				t.Fatalf("re-intern of %+v moved ID %d -> %d", s, prev, id)
-			}
-			continue
-		}
-		distinct[s] = id
-		if in.Value(id) != s || in.Packed(id) != c.Enc(s) {
-			t.Fatalf("mint %d does not invert for %+v", id, s)
-		}
-	}
-	if in.Len() != len(distinct) {
-		t.Fatalf("interner minted %d IDs for %d distinct states", in.Len(), len(distinct))
-	}
-}
-
 // TestMetaSpecEquivalence pins the meta-word callbacks bit-for-bit against
 // their State-level counterparts over reachable samples: the per-arc mask,
-// and the per-agent mask derived from a single meta word (the
-// AgentMaskMeta fast path of the interned engine's mirror update). It also
-// pins MaskMetaBits, which lets the generic tracker skip mask refreshes:
+// and the per-agent mask derived from a single meta word (the tracker's
+// meta-mode refresh). It also pins MaskMetaBits, which lets the tracker
+// skip mask refreshes:
 // flipping any meta bit outside it, on either side of an arc, moves
 // neither mask.
 func TestMetaSpecEquivalence(t *testing.T) {
@@ -235,31 +163,4 @@ func TestMetaResidualEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzCodecRoundTrip drives the P_PL round trip from raw fuzzed fields,
-// canonicalized into the valid domain of the n=64 parameters.
-func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint64(0), uint64(0))
-	f.Add(^uint64(0), ^uint64(0))
-	f.Add(uint64(0xdeadbeef), uint64(42))
-	f.Fuzz(func(t *testing.T, a, b uint64) {
-		p := NewParams(64)
-		rng := xrand.New(a ^ b*0x9e3779b97f4a7c15)
-		s := p.RandomState(rng)
-		if !p.ValidState(s) {
-			t.Fatalf("RandomState produced invalid state %+v", s)
-		}
-		c, ok := p.Codec()
-		if !ok {
-			t.Fatal("n=64 parameters must have a codec")
-		}
-		v := c.Enc(s)
-		if v >= 1<<c.Bits {
-			t.Fatalf("Enc(%+v) = %#x exceeds %d bits", s, v, c.Bits)
-		}
-		if got := c.Dec(v); got != s {
-			t.Fatalf("round trip: %+v -> %#x -> %+v", s, v, got)
-		}
-	})
 }

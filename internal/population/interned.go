@@ -1,7 +1,5 @@
 package population
 
-import "math"
-
 // The interned execution layer: an Engine wrapper that replays interactions
 // as table loads. States are interned into dense uint32 IDs (intern.go) —
 // through a packed-state open-addressed table when the protocol provides a
@@ -13,9 +11,13 @@ import "math"
 // successor pair, and the transition's effect on the oracle's backing
 // counters. The engine's convergence tracker (RingTracker) is fed from the
 // same entry: the touched agents' condition bits come from per-ID mask
-// tables and the interaction arc's mask fused out of the memo entry, and a
-// tracker in meta mode takes the agents' meta words from a per-ID table
-// instead of reading the configuration structs.
+// tables and the interaction arc's mask fused out of the memo entry.
+//
+// Interning pays only where (state, state) pairs repeat: the constant-state
+// baselines and the O(N)-state protocol of Yokota et al. A protocol whose
+// runs visit mostly fresh states — P_PL touches ~200·n distinct states per
+// trial, most of them once — attaches no tables and runs on the generic
+// engine from step 0.
 //
 // All memoized state lives in a Tables value, which any number of engines
 // may share — same-cell trials sharing one table set, run back to back,
@@ -71,13 +73,12 @@ type InternOptions struct {
 const (
 	// DefaultMaxStates is the interner's hard ID ceiling: the cap is a
 	// memory backstop, not a reuse heuristic — tables grow lazily with the
-	// pairs actually seen, and runs that keep missing the tables are cut
-	// off by the reuse guard long before the cap matters. The full ceiling
-	// is the default because warm table sets genuinely use it: same-cell
-	// trials sharing one table set, run back to back, push past 2^18 (a
-	// tighter historical default that silently felled lane batches back to
-	// the generic path). Callers can lower it through InternOptions or
-	// Scenario.MaxStates.
+	// pairs actually seen, and only protocols whose pairs repeat attach
+	// tables at all. The full ceiling is the default because warm table
+	// sets genuinely use it: same-cell trials sharing one table set, run
+	// back to back, push past 2^18 (a tighter historical default that
+	// silently felled lane batches back to the generic path). Callers can
+	// lower it through InternOptions or Scenario.MaxStates.
 	DefaultMaxStates = MaxInternStates
 	// MaxInternStates is the hard ceiling on InternOptions.MaxStates: memo
 	// entries address successor states in idBits-wide fields.
@@ -92,29 +93,6 @@ const (
 // made each cold small-state table set allocate a 2 MiB front per
 // environment key, and lost on the bench gate cells.
 const defaultDenseStates = 512
-
-// Reuse guard: interning pays only when (state, state) pairs repeat — a
-// miss costs the transition PLUS the memoization. A run whose tables miss
-// on more than 1-in-reuseMissDiv of the steps in a window of
-// max(reuseWindow, reuseWindowPerAgent·n) steps falls back to the generic
-// path, as on the capacity cap; minting new states earns no exemption.
-// Misses never decrease within a window, so the verdict is certain on the
-// miss that takes the count past the window's quarter: the run falls back
-// right after that step instead of filling tables it will drop for the
-// rest of the window — and a run that ends inside a doomed window falls
-// back too. A cold P_PL trial visits ~200·n states and misses on 40–78% of
-// its first window (n = 32–1024); yokota, angluin, fj, chenchen and orient
-// stay at or below 18%. The counters are deterministic per run, so whether
-// a seed interns or falls back is reproducible — and either way
-// bit-identical.
-const (
-	reuseWindow         = 2048
-	reuseWindowPerAgent = 64
-	reuseMissDiv        = 4 // bail threshold: more than window/4 misses
-)
-
-// reuseWindowFor is the reuse guard's window length on an n-agent ring.
-func reuseWindowFor(n int) int { return max(reuseWindow, reuseWindowPerAgent*n) }
 
 // prefetchDepth is how many pending draws ahead the run loops touch the
 // pair-table lines of upcoming interactions (see pairTable.prefetch). On
@@ -145,9 +123,9 @@ const (
 
 // Tables is the shared, engine-independent half of the interned layer: the
 // state interner, the memoized per-key transition tables, and the per-ID
-// metadata (leader bits, agent masks, MetaID words). One Tables serves any
-// number of engines of the same protocol — a cell's trials share one —
-// as long as all use is single-goroutine and every attached engine runs
+// metadata (leader bits, agent masks). One Tables serves any number of
+// engines of the same protocol — a cell's trials share one — as long as
+// all use is single-goroutine and every attached engine runs
 // the same transition and leader predicate the tables were built for, with
 // a tracker (if any) over the same spec.
 type Tables[S comparable] struct {
@@ -159,9 +137,8 @@ type Tables[S comparable] struct {
 	in    *Interner[S]
 	trans []pairTable
 
-	leaderBit []bool   // per ID: isLeader
-	amask     []uint8  // per ID: RingSpec.AgentMask
-	rmeta     []uint64 // per ID: RingSpec.MetaID, when provided
+	leaderBit []bool  // per ID: isLeader
+	amask     []uint8 // per ID: RingSpec.AgentMask
 }
 
 // NewTables builds an empty table set for the spec. codec, when non-nil,
@@ -170,8 +147,14 @@ type Tables[S comparable] struct {
 // leaders); env supplies the environment-key count and transition delta of
 // oracle protocols (only Keys and Delta are read — Key and Apply are
 // per-engine and belong to AttachInterned). It panics on a capacity cap
-// beyond MaxInternStates rather than silently truncating successor IDs.
+// beyond MaxInternStates rather than silently truncating successor IDs,
+// and on a spec carrying the meta-word acceleration (MetaID): the interned
+// loop feeds only closure-mode trackers, and a meta-mode one would miss
+// every meta word.
 func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *PackedCodec[S], env *EnvSpec[S], opts InternOptions) *Tables[S] {
+	if spec.MetaID != nil {
+		panic("population: NewTables on a meta-word spec; the interned loop feeds closure-mode trackers only")
+	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
@@ -204,8 +187,8 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 // States returns the number of distinct states interned so far.
 func (t *Tables[S]) States() int { return t.in.Len() }
 
-// syncIDMeta extends the per-ID precomputed leader bits, agent masks and
-// meta words to cover newly minted IDs.
+// syncIDMeta extends the per-ID precomputed leader bits and agent masks to
+// cover newly minted IDs.
 func (t *Tables[S]) syncIDMeta() {
 	for id := len(t.amask); id < t.in.Len(); id++ {
 		s := t.in.vals[id]
@@ -215,9 +198,6 @@ func (t *Tables[S]) syncIDMeta() {
 			m = t.spec.AgentMask(s)
 		}
 		t.amask = append(t.amask, m)
-		if t.spec.MetaID != nil {
-			t.rmeta = append(t.rmeta, t.spec.MetaID(s))
-		}
 	}
 }
 
@@ -233,9 +213,6 @@ type InternedEngine[S comparable] struct {
 	idsOK bool
 	idGen uint64 // Engine.installGen the IDs were interned at
 
-	// Reuse guard (see reuseWindow): the current window's steps, misses, length.
-	winSteps, winMisses, winLen int
-
 	// lazyStates marks a run loop where the per-agent IDs are authoritative
 	// and the per-step Engine.states writeback is skipped: each applied
 	// interaction would otherwise load two states out of the interner's
@@ -243,7 +220,7 @@ type InternedEngine[S comparable] struct {
 	// O(n)-state protocols) and struct-copy them into the configuration,
 	// which nothing reads before the loop exits. settle() rematerializes
 	// the configuration from the IDs at every loop exit — convergence,
-	// budget exhaustion, capacity or reuse fallback — so outside run loops
+	// budget exhaustion or capacity fallback — so outside run loops
 	// Engine.states is always current. Only set by loops that read no
 	// configuration struct (see run).
 	lazyStates bool
@@ -269,7 +246,7 @@ const (
 // path. The engine's leader predicate must be the one the tables were
 // built with (per-ID leader bits are shared), and a tracker installed on e
 // must track the tables' spec: the interned loop feeds it condition bits
-// and meta words from the tables.
+// from the tables.
 func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S]) *InternedEngine[S] {
 	if (env == nil) != (t.envDelta == nil) {
 		panic("population: AttachInterned env does not match the tables' EnvSpec")
@@ -282,11 +259,11 @@ func AttachInterned[S comparable](e *Engine[S], t *Tables[S], env *EnvSpec[S]) *
 	if (e.isLeader == nil) != (t.isLeader == nil) {
 		panic("population: AttachInterned engine leader tracking does not match the tables")
 	}
-	return &InternedEngine[S]{Engine: e, tab: t, env: env, winLen: reuseWindowFor(e.topo.N)}
+	return &InternedEngine[S]{Engine: e, tab: t, env: env}
 }
 
 // Interned reports whether the layer is still interning (false once a
-// capacity or reuse fallback moved the engine to the generic path).
+// capacity fallback moved the engine to the generic path).
 func (g *InternedEngine[S]) Interned() bool { return !g.fellBack }
 
 // prepare readies the interned path: leaders recounted, the per-agent IDs
@@ -442,11 +419,6 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32) int {
 		v, ok = pt.get(idL, idR)
 	}
 	if !ok {
-		if g.winMisses++; g.winMisses > g.winLen/reuseMissDiv {
-			// The window is doomed: close it with this step, so the run
-			// loop's reuseBail judges it before the next draw.
-			g.winSteps = g.winLen - 1
-		}
 		if v, ok = g.fill(key, idL, idR); !ok {
 			g.settle() // the generic continuation reads Engine.states
 			g.fall()
@@ -454,7 +426,6 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32) int {
 			return stepFell
 		}
 	}
-	g.winSteps++
 	if v&flagNoop != 0 {
 		// Identity transition: no state, leader, env or tracker effect.
 		// (The env delta of an identity transition encodes "no counter
@@ -482,27 +453,9 @@ func (g *InternedEngine[S]) applyInterned(li, ri int32) int {
 		}
 	}
 	if tr := e.tracker; tr != nil {
-		if tr.meta != nil {
-			tr.updateMeta(int(li), int(ri), t.rmeta[l2], t.rmeta[r2])
-		} else {
-			tr.updateMasks(int(li), int(ri), t.amask[l2], t.amask[r2], uint8(v>>arcMaskShift))
-		}
+		tr.updateMasks(int(li), int(ri), t.amask[l2], t.amask[r2], uint8(v>>arcMaskShift))
 	}
 	return stepApplied
-}
-
-// reuseBail runs after every interned step and reports whether the run
-// should abandon interning. A window closes on its last step or, once
-// doomed, on the miss that doomed it (applyInterned); only a doomed window
-// bails. Callers bail between steps, so the switch is as clean as the
-// capacity fallback.
-func (g *InternedEngine[S]) reuseBail() bool {
-	if g.winSteps < g.winLen {
-		return false
-	}
-	bail := g.winMisses > g.winLen/reuseMissDiv
-	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
-	return bail
 }
 
 // settle rematerializes Engine.states from the per-agent IDs and leaves
@@ -533,24 +486,15 @@ func (g *InternedEngine[S]) RunUntilConverged(maxSteps uint64) (uint64, bool) {
 	return g.run(maxSteps, true)
 }
 
-// Prefill is RunUntilConverged for a warmup that fills tables another
-// attached engine will replay: those fills are reused by construction, so
-// the reuse guard holds its window open for the run.
-func (g *InternedEngine[S]) Prefill(maxSteps uint64) {
-	g.winLen = math.MaxInt
-	g.run(maxSteps, true)
-	g.winSteps, g.winMisses, g.winLen = 0, 0, reuseWindowFor(g.Engine.topo.N)
-}
-
-// run is the interned layer's one draw loop, behind Run, RunUntilConverged
-// and Prefill — Engine.run with table loads for transitions. It executes
+// run is the interned layer's one draw loop, behind Run and
+// RunUntilConverged — Engine.run with table loads for transitions. It executes
 // steps until the step count reaches limit or, when converge is set, until
 // the installed tracker's verdict holds, and returns the step count and
 // whether it converged. Arcs come from the engine's pending buffer in the
-// same batch sizes as the generic loop. When prepare declines, on a
-// capacity fallback (the drawn arc has already run generically) and on a
-// reuse bail the run finishes on the generic engine through resume, on the
-// exact same scheduler stream. No-op steps skip the tracker and the
+// same batch sizes as the generic loop. When prepare declines and on a
+// capacity fallback (the drawn arc has already run generically) the run
+// finishes on the generic engine through resume, on the exact same
+// scheduler stream. No-op steps skip the tracker and the
 // verdict — an interaction that changes no state cannot flip a
 // configuration predicate that was false before it.
 func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
@@ -568,9 +512,8 @@ func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 	// Lazy states need a loop that reads no configuration struct. Oracle
 	// protocols stay eager, since their fallback path replays the engine
 	// observer over the configuration, and so does a loop feeding a
-	// closure-mode tracker, whose arc refreshes and residual read
-	// Engine.states; a meta-mode tracker reads only its meta words.
-	g.lazyStates = g.env == nil && (tr == nil || tr.metaMode)
+	// tracker, whose arc refreshes and residual read Engine.states.
+	g.lazyStates = g.env == nil && tr == nil
 	for e.step < limit {
 		if e.pendStart == e.pendEnd {
 			e.refillPending(limit - e.step)
@@ -592,11 +535,6 @@ func (g *InternedEngine[S]) run(limit uint64, converge bool) (uint64, bool) {
 				g.settle()
 				return e.step, true
 			}
-		}
-		if g.reuseBail() {
-			g.settle()
-			g.fall()
-			return g.resume(limit, converge)
 		}
 	}
 	g.settle()

@@ -103,27 +103,23 @@ func toySpec() RingSpec[uint16] {
 }
 
 // toyTrans wanders through a large state space, minting fresh states on
-// almost every step, so a small interner cap is exceeded mid-run — and,
-// with a roomy cap, the reuse guard bails on the never-repeating pairs
-// once a quarter of its first window has missed: minting new states is no
-// excuse for a table that is never reused.
+// almost every step, so a small interner cap is exceeded mid-run.
 func toyTrans(l, r uint16) (uint16, uint16) {
 	return l + 1, r + l*3 + 7
 }
 
 // toyReuseTrans cycles within 19 states, the regime interning is for: its
-// 361 ordered pairs fit well inside the misses the reuse guard tolerates
-// per window (reuseWindow/reuseMissDiv = 512), so the pair tables warm up
-// within the first window and the run stays interned.
+// 361 ordered pairs warm the pair tables up within a few hundred steps.
 func toyReuseTrans(l, r uint16) (uint16, uint16) {
 	return (l + 1) % 19, (r + l*3 + 7) % 19
 }
 
-// toyBailTrans cycles within 251 states but mixes through its ~63k ordered
-// pairs nearly uniformly, so even once every state has been minted the
-// pair tables keep missing — the reuse guard bails here too.
-func toyBailTrans(l, r uint16) (uint16, uint16) {
-	return (l*5 + r*3 + 1) % 251, (r*7 + l + 2) % 251
+// toyMixTrans cycles within 1021 states and mixes through their ~1M
+// ordered pairs nearly uniformly: the run keeps missing its pair tables,
+// and once it has minted more states than the dense tier holds
+// (defaultDenseStates) they migrate to the hashed tier mid-run.
+func toyMixTrans(l, r uint16) (uint16, uint16) {
+	return (l*5 + r*3 + 1) % 1021, (r*7 + l + 2) % 1021
 }
 
 func toyLeader(s uint16) bool { return s%5 == 0 }
@@ -169,32 +165,34 @@ func assertEnginesEqual(t *testing.T, gen *Engine[uint16], ie *Engine[uint16], c
 }
 
 // TestInternedRunMatchesGenericRun pins the interned Run loop to the
-// generic engine on the same seed, across every fallback flavor — tiny cap
-// (capacity fallback mid-run, including mid-batch), roomy cap with a state
-// space still being minted (endless minting without reuse: the guard
-// bails), roomy cap with a bounded state space whose pairs never warm up
-// (reuse bail-out), and a reusing state space (stays interned): no flavor
-// may lose, repeat or reorder a single drawn arc.
+// generic engine on the same seed: a tiny cap (capacity fallback mid-run,
+// including mid-batch), a run that keeps missing its tables and migrates
+// them from the dense to the hashed tier, and a reusing state space. No
+// flavor may lose, repeat or reorder a single drawn arc.
 func TestInternedRunMatchesGenericRun(t *testing.T) {
 	cases := []struct {
 		name       string
 		cap        int
 		trans      Transition[uint16]
 		wantIntern bool
+		wantHashed bool
 	}{
-		{"capacity-fallback", 8, toyTrans, false},
-		{"mid-cap", 64, toyTrans, false},
-		{"mint-bail", 1 << 20, toyTrans, false},
-		{"reuse-bail", 1 << 20, toyBailTrans, false},
-		{"stays-interned", 1 << 20, toyReuseTrans, true},
+		{"capacity-fallback", 8, toyTrans, false, false},
+		{"mid-cap", 64, toyTrans, false, false},
+		{"hashed-tier", 1 << 20, toyMixTrans, true, true},
+		{"stays-interned", 1 << 20, toyReuseTrans, true, false},
 	}
 	for _, tc := range cases {
 		gen, acc := newToyPairTrans(16, 7, tc.cap, tc.trans)
+		tab := acc.tab
 		gen.Run(10_000)
 		acc.Run(10_000)
 		assertEnginesEqual(t, gen, acc.Engine, tc.name+": after Run")
 		if acc.Interned() != tc.wantIntern {
 			t.Fatalf("%s: Interned() = %v, want %v", tc.name, acc.Interned(), tc.wantIntern)
+		}
+		if hashed := tab.trans[0].slab != nil; hashed != tc.wantHashed {
+			t.Fatalf("%s: pair table hashed = %v at %d states, want %v", tc.name, hashed, tab.States(), tc.wantHashed)
 		}
 		// Chunked continuation must stay on the same stream.
 		for i := 0; i < 5; i++ {
@@ -205,104 +203,30 @@ func TestInternedRunMatchesGenericRun(t *testing.T) {
 	}
 }
 
-// TestReuseGuardWindow pins when the reuse guard bails: on the miss that
-// takes the window's count past winLen/reuseMissDiv, the first step at
-// which the window's verdict is certain. The minting toy misses on every
-// step, so it stays interned through the first winLen/4 steps and falls
-// back on the next — on small rings and on rings large enough to stretch
-// the window.
-func TestReuseGuardWindow(t *testing.T) {
-	for _, n := range []int{16, 64} {
-		bail := uint64(reuseWindowFor(n)/reuseMissDiv + 1)
-		gen, acc := newToyPairTrans(n, 3, 1<<20, toyTrans)
-		gen.Run(bail - 1)
-		acc.Run(bail - 1)
-		if !acc.Interned() {
-			t.Fatalf("n=%d: bailed before step %d", n, bail)
+// TestNewTablesRejectsMetaSpec pins the interned layer to closure-mode
+// trackers: the interned loop feeds condition bits only, so a table set
+// for a spec carrying the meta-word acceleration is refused at
+// construction instead of starving a meta-mode tracker of its words.
+func TestNewTablesRejectsMetaSpec(t *testing.T) {
+	spec := toySpec()
+	spec.MetaID = func(s uint16) uint64 { return uint64(s) }
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewTables accepted a spec with MetaID")
 		}
-		if acc.winMisses != int(bail-1) {
-			t.Fatalf("n=%d: %d misses in the first %d steps; the toy must miss on every step", n, acc.winMisses, bail-1)
-		}
-		gen.Run(1)
-		acc.Run(1)
-		if acc.Interned() {
-			t.Fatalf("n=%d: still interned after the miss that dooms the window (step %d)", n, bail)
-		}
-		gen.Run(1000)
-		acc.Run(1000)
-		assertEnginesEqual(t, gen, acc.Engine, "after the guard fired")
-	}
-}
-
-// TestReuseGuardBailsInsideDoomedWindow pins the guard on runs that end
-// before their window closes: a convergence run and a plain run whose
-// budgets stop inside a doomed first window fall back before they end,
-// and stay bit-identical to the generic engine.
-func TestReuseGuardBailsInsideDoomedWindow(t *testing.T) {
-	const n, seed = 16, 5
-	budget := uint64(reuseWindowFor(n) / 2)
-	gen, acc := newToyPairTrans(n, seed, 1<<20, toyTrans)
-	gen.SetTracker(NewRingTracker(toySpec()))
-	acc.SetTracker(NewRingTracker(toySpec()))
-	genStep, genOK := gen.RunUntilConverged(budget)
-	step, ok := acc.RunUntilConverged(budget)
-	if step != genStep || ok != genOK {
-		t.Fatalf("RunUntilConverged: interned (%d, %v) vs generic (%d, %v)", step, ok, genStep, genOK)
-	}
-	if acc.Interned() {
-		t.Fatalf("a %d-step convergence run ended interned inside a doomed %d-step window", budget, reuseWindowFor(n))
-	}
-	assertEnginesEqual(t, gen, acc.Engine, "after the convergence run")
-
-	gen, acc = newToyPairTrans(n, seed, 1<<20, toyTrans)
-	gen.Run(budget)
-	acc.Run(budget)
-	if acc.Interned() {
-		t.Fatalf("a %d-step run ended interned inside a doomed %d-step window", budget, reuseWindowFor(n))
-	}
-	assertEnginesEqual(t, gen, acc.Engine, "after the plain run")
-}
-
-// TestPrefillSuspendsGuard pins the warm-replay contract: a Prefill run
-// keeps filling shared tables through windows the reuse guard would bail
-// on, and an engine replaying the same trajectory over them never misses,
-// so it stays interned — bit-identical to the generic engine — where a
-// cold run falls back.
-func TestPrefillSuspendsGuard(t *testing.T) {
-	const n, seed, steps = 16, 5, 10_000
-	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
-	attach := func() *InternedEngine[uint16] {
-		acc := AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil)
-		acc.SetTracker(NewRingTracker(toySpec()))
-		return acc
-	}
-	warm, replay := attach(), attach()
-	warm.Prefill(steps)
-	if !warm.Interned() {
-		t.Fatal("Prefill let the reuse guard bail")
-	}
-	gen := newToyEngine(n, seed, toyTrans)
-	gen.SetTracker(NewRingTracker(toySpec()))
-	genStep, genOK := gen.RunUntilConverged(steps)
-	step, ok := replay.RunUntilConverged(steps)
-	if !replay.Interned() {
-		t.Fatal("replay over prefilled tables fell back")
-	}
-	if step != genStep || ok != genOK {
-		t.Fatalf("replay (%d, %v) vs generic (%d, %v)", step, ok, genStep, genOK)
-	}
-	assertEnginesEqual(t, gen, replay.Engine, "after prefilled replay")
+	}()
+	NewTables(spec, toyLeader, nil, nil, InternOptions{})
 }
 
 // TestSharedTablesSurviveFallback pins the sharing contract of Tables: an
 // engine that falls back drops only its own pointer to the tables, so a
 // second engine attached to the same Tables still reads the first one's
-// fills. The second engine replays the first's seed: it stays interned
-// through the first engine's bail step, then falls back itself, and is
-// bit-identical to the generic engine throughout.
+// fills. The second engine replays the first's seed: it stays interned up
+// to the step where the first one overflowed the capacity cap, falls back
+// on that same step, and is bit-identical to the generic engine throughout.
 func TestSharedTablesSurviveFallback(t *testing.T) {
 	const n, seed, steps = 16, 7, 10_000
-	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{})
+	tab := NewTables(toySpec(), toyLeader, nil, nil, InternOptions{MaxStates: 64})
 	attach := func() *InternedEngine[uint16] {
 		return AttachInterned(newToyEngine(n, seed, toyTrans), tab, nil)
 	}
@@ -311,10 +235,10 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 		first.Run(1)
 	}
 	if first.Interned() {
-		t.Fatal("the minting run did not trip the reuse guard")
+		t.Fatal("the minting run did not overflow the capacity cap")
 	}
-	bail := first.Steps()
-	first.Run(steps - bail)
+	fell := first.Steps()
+	first.Run(steps - fell)
 	minted := tab.States()
 	if minted <= n {
 		t.Fatalf("tables hold %d states after the first run; want its mints beyond the %d initial states", minted, n)
@@ -324,7 +248,7 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 	second.SetTracker(NewRingTracker(toySpec()))
 	gen := newToyEngine(n, seed, toyTrans)
 	gen.SetTracker(NewRingTracker(toySpec()))
-	for _, budget := range []uint64{bail, steps} {
+	for _, budget := range []uint64{fell - 1, steps} {
 		genStep, genOK := gen.RunUntilConverged(budget)
 		step, ok := second.RunUntilConverged(budget)
 		if step != genStep || ok != genOK {
@@ -332,7 +256,7 @@ func TestSharedTablesSurviveFallback(t *testing.T) {
 		}
 		assertEnginesEqual(t, gen, second.Engine, "second engine over the shared tables")
 		if budget < steps && !second.Interned() {
-			t.Fatalf("second engine missed the first engine's fills and bailed by step %d", bail)
+			t.Fatalf("second engine missed the first engine's fills and fell back before step %d", fell)
 		}
 	}
 	if second.Interned() {

@@ -60,10 +60,10 @@ type RingSpec[S any] struct {
 	// evaluates the masks and the residual over those words instead of
 	// calling the state-level closures — one flat uint64 load per agent
 	// instead of a struct read and a closure dispatch, which is what keeps
-	// the residual scans of large-state protocols (P_PL) cheap. The
-	// interned engine feeds the tracker those words from its per-ID table
-	// (Tables), so its steps never read the configuration structs. The
-	// contract is strict equivalence:
+	// the residual scans of large-state protocols (P_PL) cheap. Meta mode
+	// is the generic engine's: NewTables rejects a spec carrying MetaID,
+	// since the interned loop feeds condition bits only. The contract is
+	// strict equivalence:
 	//
 	//	ArcMaskMeta(MetaID(l), MetaID(r)) == ArcMask(l, r)
 	//	ResidualMeta(c, meta)             == Residual(c, cfg)
@@ -83,9 +83,7 @@ type RingSpec[S any] struct {
 	// AgentMaskMeta is the meta form of AgentMask, under the same
 	// equivalence contract: AgentMaskMeta(MetaID(s)) == AgentMask(s) at
 	// every reachable state. In meta mode the tracker refreshes a touched
-	// agent's condition bits from its meta word, so interned steps skip the
-	// per-ID mask table — on O(n)-state protocols that table is hundreds of
-	// KB of randomly indexed bytes.
+	// agent's condition bits from its meta word instead of its state.
 	AgentMaskMeta func(m uint64) uint8
 	// ResidualMeta receives the per-agent meta words: meta[i] is
 	// MetaID(cfg[i]) for ring position i.
@@ -178,8 +176,8 @@ func (c *witnessCache) note(a, b, n int) {
 // per-location condition bits plus the per-channel match counts. It is the
 // engine's one convergence tracker (Engine.SetTracker), fed after every
 // interaction by whichever loop executes it: Update from the generic
-// applyPair, updateMeta or updateMasks from the interned loop's memo entry
-// and per-ID tables. An interaction touches two adjacent agents, so at
+// applyPair, updateMasks from the interned loop's memo entry and per-ID
+// tables. An interaction touches two adjacent agents, so at
 // most two agent masks and four arc masks are re-evaluated — O(1)
 // regardless of ring size — and Converged, asked after every single step,
 // makes hitting times exact instead of quantized to a periodic

@@ -149,20 +149,13 @@ func TestRunUntilConvergedPanicsWithoutTracker(t *testing.T) {
 // layer to the engine's contract: its convergence runs judge through the
 // tracker installed with SetTracker and have none of their own.
 func TestInternedRunUntilConvergedPanicsWithoutTracker(t *testing.T) {
-	for name, run := range map[string]func(*InternedEngine[uint16]){
-		"RunUntilConverged": func(acc *InternedEngine[uint16]) { acc.RunUntilConverged(10) },
-		"Prefill":           func(acc *InternedEngine[uint16]) { acc.Prefill(10) },
-	} {
-		_, acc := newToyPairTrans(8, 1, 1<<20, toyReuseTrans)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic without a tracker", name)
-				}
-			}()
-			run(acc)
-		}()
-	}
+	_, acc := newToyPairTrans(8, 1, 1<<20, toyReuseTrans)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic without a tracker")
+		}
+	}()
+	acc.RunUntilConverged(10)
 }
 
 // TestRunUntilConvergedWithObserver pins observation under a convergence

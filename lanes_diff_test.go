@@ -47,11 +47,11 @@ func assertLanesMatchSolo(t *testing.T, name string, sc Scenario, n int, seeds [
 }
 
 // TestLaneTrialsMatchSolo is the lane differential test: for every
-// built-in protocol and ring sizes across both pair-table tiers, a batch
-// of same-cell trials sharing one table set, run back to back, must
-// reproduce the solo path bit-for-bit.
+// built-in protocol that interns and ring sizes across both pair-table
+// tiers, a batch of same-cell trials sharing one table set, run back to
+// back, must reproduce the solo path bit-for-bit.
 func TestLaneTrialsMatchSolo(t *testing.T) {
-	for name, sizes := range diffCells() {
+	for name, sizes := range internedCells() {
 		// Smallest and largest per protocol: both table tiers, fast matrix.
 		for _, n := range []int{sizes[0], sizes[len(sizes)-1]} {
 			assertLanesMatchSolo(t, name, Scenario{}, n, laneSeeds())
@@ -75,7 +75,7 @@ func TestLaneTrialsMatchSoloUnderAdversaries(t *testing.T) {
 		{Faults: []Fault{{AtStep: 500, Agents: 3}}},
 	}
 	cells := map[string]int{
-		"ppl": 33, "orient": 33, "yokota": 33, "angluin": 33, "fj": 32, "chenchen": 8,
+		"orient": 33, "yokota": 33, "angluin": 33, "fj": 32, "chenchen": 8,
 	}
 	for name, n := range cells {
 		for _, sc := range scenarios {
@@ -91,7 +91,7 @@ func TestLaneTrialsMatchSoloUnderAdversaries(t *testing.T) {
 // the capped lane results must match both the capped solo path and the
 // uncapped run.
 func TestLaneTrialsCapacityFallback(t *testing.T) {
-	cells := map[string]int{"ppl": 33, "yokota": 33, "angluin": 33}
+	cells := map[string]int{"yokota": 33, "angluin": 33}
 	for name, n := range cells {
 		capped := Scenario{MaxStates: 8}
 		assertLanesMatchSolo(t, name, capped, n, laneSeeds())
@@ -120,7 +120,8 @@ func TestLaneTrialsCapacityFallback(t *testing.T) {
 
 // TestLaneTrialsSmallBatches pins the degenerate batch sizes — zero seeds
 // and a single seed must still agree with Trial — and the ring-size check:
-// a ring below two agents is an error, not a panic.
+// a ring below two agents is an error, not a panic. It runs P_PL, which
+// attaches no tables, so it also covers a batch on the generic engine.
 func TestLaneTrialsSmallBatches(t *testing.T) {
 	p, err := NewProtocol("ppl")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/angluin"
 	"repro/internal/chenchen"
 	"repro/internal/core"
 	"repro/internal/fj"
@@ -105,5 +106,58 @@ func TestObserveTrialRefusals(t *testing.T) {
 	}
 	if _, _, err := ObserveTrial[core.State](PPL(0, 0), Scenario{Faults: []Fault{{AtStep: 1, Agents: -1}}}, 8, 1, nil, nil); err == nil {
 		t.Fatal("invalid scenario accepted")
+	}
+}
+
+// TestTrialRejectsUnfixedRingSize pins the public trial entry points to
+// errors, not panics, at a ring size FixSize would change: angluin's
+// assumption rules out every multiple of k=2, and orient's two-hop
+// coloring needs three agents.
+func TestTrialRejectsUnfixedRingSize(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"angluin", 8}, {"orient", 2}} {
+		p, err := NewProtocol(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.FixSize(c.n) == c.n {
+			t.Fatalf("%s: FixSize keeps n=%d; pick a size it changes", c.name, c.n)
+		}
+		calls := map[string]func() error{
+			"Trial": func() error { _, err := p.Trial(Scenario{}, c.n, 1); return err },
+			"ProbeTrial": func() error {
+				_, err := ProbeTrial(p, Scenario{}, c.n, 1, &RecordingProbe{})
+				return err
+			},
+			"LaneTrials": func() error {
+				_, err := p.(engineProtocol).LaneTrials(Scenario{}, c.n, []uint64{1})
+				return err
+			},
+		}
+		if c.name == "angluin" {
+			calls["ObserveTrial"] = func() error {
+				_, _, err := ObserveTrial[angluin.State](p, Scenario{}, c.n, 1, nil, nil)
+				return err
+			}
+		} else {
+			calls["ObserveTrial"] = func() error {
+				_, _, err := ObserveTrial[orient.State](p, Scenario{}, c.n, 1, nil, nil)
+				return err
+			}
+		}
+		for call, run := range calls {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s n=%d %s: panic %v", c.name, c.n, call, r)
+					}
+				}()
+				if err := run(); err == nil {
+					t.Fatalf("%s n=%d %s: ran a ring FixSize would change", c.name, c.n, call)
+				}
+			}()
+		}
 	}
 }

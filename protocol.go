@@ -55,7 +55,9 @@ type Protocol interface {
 	Validate(sc Scenario) error
 	// Trial runs one trial of the scenario at ring size n (already
 	// FixSize-adjusted) with the given scheduler seed. The error is
-	// non-nil only for scenarios Validate rejects.
+	// non-nil for scenarios Validate rejects and for ring sizes the
+	// protocol cannot run; the built-in protocols reject rings below two
+	// agents and sizes FixSize would change.
 	Trial(sc Scenario, n int, seed uint64) (TrialResult, error)
 }
 

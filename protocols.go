@@ -58,9 +58,9 @@ var internedOff atomic.Bool
 // runner needs: the engine, an installer that routes configuration changes
 // through the protocol's oracle runner (nil for plain engines), a state
 // sampler for fault injection, the incremental convergence tracker of the
-// hot path, the interned layer attached to the engine, and the equivalent
-// scan predicate (the cross-check oracle the convergenceScanEvery hook
-// selects).
+// hot path, the interned layer attached to the engine (nil for a protocol
+// that does not intern), and the equivalent scan predicate (the
+// cross-check oracle the convergenceScanEvery hook selects).
 type trialEngine[S comparable] struct {
 	eng     *population.Engine[S]
 	install func([]S)
@@ -141,11 +141,15 @@ func churnStep[S any](eng *population.Engine[S], rng *xrand.RNG, ev ChurnEvent, 
 	return removed
 }
 
-// checkRingSize rejects rings too small to hold an interaction: every
-// built-in engine runs on a ring of at least two agents.
-func checkRingSize(info ProtocolInfo, n int) error {
+// checkRingSize rejects the rings a built-in trial cannot run: fewer than
+// two agents, or a size the protocol's assumption rules out, which its
+// FixSize would change (angluin at a multiple of k, orient below three).
+func checkRingSize(p Protocol, n int) error {
 	if n < 2 {
-		return fmt.Errorf("repro: %s needs a ring of at least 2 agents, got %d", info.Name, n)
+		return fmt.Errorf("repro: %s needs a ring of at least 2 agents, got %d", p.Info().Name, n)
+	}
+	if fixed := p.FixSize(n); fixed != n {
+		return fmt.Errorf("repro: %s cannot run a ring of %d agents (FixSize gives %d)", p.Info().Name, n, fixed)
 	}
 	return nil
 }
@@ -168,10 +172,11 @@ type stepper interface {
 }
 
 // stepper returns the trial's interned execution layer, or the generic
-// engine when a test hook forces it or the scan-era oracle. A layer that
-// has fallen back delegates to the generic engine internally.
+// engine when the protocol does not intern, a test hook forces it or the
+// scan-era oracle runs. A layer that has fallen back delegates to the
+// generic engine internally.
 func (te trialEngine[S]) stepper() stepper {
-	if internedOff.Load() || convergenceScanEvery.Load() > 0 {
+	if te.accel == nil || internedOff.Load() || convergenceScanEvery.Load() > 0 {
 		return te.eng
 	}
 	return te.accel
@@ -183,14 +188,15 @@ func (te trialEngine[S]) stepper() stepper {
 // one step), and convergence is judged on the run after the last event —
 // the self-stabilization question "does the protocol recover from this
 // adversarial history within the budget". The trial runs on the interned
-// table-lookup layer by default (falling back to the generic engine
-// transparently when its guards trip) and judges convergence after every
-// step, so Steps is the exact hitting time of the protocol's convergence
-// predicate, not a checkEvery-quantized overestimate; the interned and
-// generic paths are pinned bit-identical by the differential regression
-// tests. Churn splices re-install the scenario's scheduler against the
-// new arc count; TrialResult.N stays the starting size (the seed-derivation
-// key), with the live count streaming through churn events.
+// table-lookup layer when the protocol interns (falling back to the
+// generic engine transparently when its capacity cap trips) and judges
+// convergence after every step, so Steps is the exact hitting time of the
+// protocol's convergence predicate, not a checkEvery-quantized
+// overestimate; the interned and generic paths are pinned bit-identical
+// by the differential regression tests. Churn splices re-install the
+// scenario's scheduler against the new arc count; TrialResult.N stays the
+// starting size (the seed-derivation key), with the live count streaming
+// through churn events.
 //
 // A non-nil probe receives the trial's typed event stream (see Probe):
 // the initial leader count and every interaction-driven leader-set change
@@ -281,8 +287,9 @@ func (te trialEngine[S]) run(sc Scenario, n int, seed uint64, maxSteps uint64, n
 		steps, ok = te.eng.RunUntil(te.pred, int(every), maxSteps)
 	} else {
 		// The incremental tracker judges convergence after every step, fed
-		// by whichever loop runs it: the interned layer's by default, the
-		// generic engine's after a fallback or under internedOff.
+		// by whichever loop runs it: the interned layer's when the protocol
+		// interns, the generic engine's otherwise, after a fallback or under
+		// internedOff.
 		te.eng.SetTracker(te.tracker)
 		steps, ok = ru.RunUntilConverged(maxSteps)
 		sample = te.tracker.SampleCounts
@@ -339,18 +346,26 @@ func (te trialEngine[S]) benchTracked(maxSteps uint64) (uint64, bool) {
 
 // benchInterned runs to convergence through the interned table-lookup
 // layer; the extra result reports whether the run stayed interned (false
-// when the capacity cap forced the generic fallback mid-run).
+// when the capacity cap forced the generic fallback mid-run, and for a
+// protocol that does not intern, whose run is the generic tracked one).
 func (te trialEngine[S]) benchInterned(maxSteps uint64) (uint64, bool, bool) {
+	if te.accel == nil {
+		steps, ok := te.benchTracked(maxSteps)
+		return steps, ok, false
+	}
 	te.eng.SetTracker(te.tracker)
 	steps, ok := te.accel.RunUntilConverged(maxSteps)
 	return steps, ok, te.accel.Interned()
 }
 
-// benchPrefill fills the interned tables along the run's trajectory to
-// convergence for a warm replay (population.InternedEngine.Prefill).
-func (te trialEngine[S]) benchPrefill(maxSteps uint64) {
-	te.eng.SetTracker(te.tracker)
-	te.accel.Prefill(maxSteps)
+// benchFill fills the interned tables along the run's trajectory to
+// convergence for a warm replay; a no-op for a protocol that does not
+// intern, which has no tables to fill.
+func (te trialEngine[S]) benchFill(maxSteps uint64) {
+	if te.accel != nil {
+		te.eng.SetTracker(te.tracker)
+		te.accel.RunUntilConverged(maxSteps)
+	}
 }
 
 // stepCount returns the scheduler steps executed so far.
@@ -399,10 +414,13 @@ type ringProtocol[S comparable] struct {
 	maxSteps func(n int) uint64
 	validate func(info ProtocolInfo, sc Scenario) error
 	// tables builds the shared interned table set of one (scenario, n)
-	// cell; every trial engine of the cell may attach to it.
+	// cell; every trial engine of the cell may attach to it. Nil for a
+	// protocol whose state pairs rarely repeat: its trials run on the
+	// generic engine from step 0.
 	tables func(sc Scenario, n int) *population.Tables[S]
 	// trial wires one unrun trial engine over tab: initial configuration,
-	// leader tracking, the scenario's scheduler and the interned layer.
+	// leader tracking, the scenario's scheduler and the interned layer
+	// (none when tab is nil).
 	trial func(sc Scenario, n int, seed uint64, tab *population.Tables[S]) trialEngine[S]
 }
 
@@ -421,9 +439,18 @@ func (p *ringProtocol[S]) MaxSteps(n int) uint64 { return p.maxSteps(n) }
 
 func (p *ringProtocol[S]) Validate(sc Scenario) error { return p.validate(p.info, sc) }
 
+// newTables builds one cell's shared table set, or nil when the protocol
+// does not intern.
+func (p *ringProtocol[S]) newTables(sc Scenario, n int) *population.Tables[S] {
+	if p.tables == nil {
+		return nil
+	}
+	return p.tables(sc, n)
+}
+
 // newTrial wires one trial engine over a table set of its own.
 func (p *ringProtocol[S]) newTrial(sc Scenario, n int, seed uint64) trialEngine[S] {
-	return p.trial(sc, n, seed, p.tables(sc, n))
+	return p.trial(sc, n, seed, p.newTables(sc, n))
 }
 
 func (p *ringProtocol[S]) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
@@ -448,7 +475,7 @@ func (p *ringProtocol[S]) observedTrial(sc Scenario, n int, seed uint64, probe P
 	if err := p.Validate(sc); err != nil {
 		return TrialResult{}, nil, err
 	}
-	if err := checkRingSize(p.info, n); err != nil {
+	if err := checkRingSize(p, n); err != nil {
 		return TrialResult{}, nil, err
 	}
 	te := p.newTrial(sc, n, seed)
@@ -487,11 +514,11 @@ func (p *ringProtocol[S]) LaneTrials(sc Scenario, n int, seeds []uint64) ([]Tria
 	if err := p.Validate(sc); err != nil {
 		return nil, err
 	}
-	if err := checkRingSize(p.info, n); err != nil {
+	if err := checkRingSize(p, n); err != nil {
 		return nil, err
 	}
 	maxSteps := sc.MaxSteps(p, n)
-	tab := p.tables(sc, n)
+	tab := p.newTables(sc, n)
 	out := make([]TrialResult, len(seeds))
 	for i, seed := range seeds {
 		out[i] = p.trial(sc, n, seed, tab).run(sc, n, seed, maxSteps, p.info.Name, nil)
@@ -516,7 +543,7 @@ func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (warm, t
 	if err := p.Validate(sc); err != nil {
 		return nil, nil, err
 	}
-	tab := p.tables(sc, n)
+	tab := p.newTables(sc, n)
 	return p.trial(sc, n, seed, tab), p.trial(sc, n, seed, tab), nil
 }
 
@@ -549,18 +576,10 @@ func PPL(slack, c1 int) Protocol {
 			}
 			return nil
 		},
-		// The packed codec keys the interner by the fixed-width state
-		// encoding, falling back to the map mode in parameterizations too
-		// wide to pack.
-		tables: func(sc Scenario, n int) *population.Tables[core.State] {
-			par := params(n)
-			var cp *population.PackedCodec[core.State]
-			if codec, ok := par.Codec(); ok {
-				cp = &codec
-			}
-			return population.NewTables(par.SafetySpec(), core.IsLeader, cp, nil, internOpts(sc))
-		},
-		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[core.State]) trialEngine[core.State] {
+		// No tables: a P_PL trial visits ~200·n distinct states, most of
+		// them once, so pair memoization has nothing to reuse and every
+		// trial runs on the generic engine.
+		trial: func(sc Scenario, n int, seed uint64, _ *population.Tables[core.State]) trialEngine[core.State] {
 			par := params(n)
 			pr := core.New(par)
 			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(seed))
@@ -571,7 +590,6 @@ func PPL(slack, c1 int) Protocol {
 				eng:     eng,
 				corrupt: func(rng *xrand.RNG, _ core.State) core.State { return par.RandomState(rng) },
 				tracker: population.NewRingTracker(par.SafetySpec()),
-				accel:   population.AttachInterned(eng, tab, nil),
 				pred:    func(cfg []core.State) bool { return par.IsSafe(cfg) },
 			}
 		},

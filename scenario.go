@@ -221,8 +221,9 @@ type Scenario struct {
 	// MaxStates caps the interned execution layer's state interner for
 	// this scenario's trials; a run needing more distinct states falls
 	// back to the generic engine (bit-identically — the cap is a memory
-	// knob, not a semantics one). 0 selects the engine default
-	// (population.DefaultMaxStates); the ceiling is
+	// knob, not a semantics one). It applies only to protocols that
+	// intern: P_PL runs on the generic engine and ignores it. 0 selects
+	// the engine default (population.DefaultMaxStates); the ceiling is
 	// population.MaxInternStates.
 	MaxStates int `json:"max_states,omitempty"`
 }

@@ -59,9 +59,10 @@ func TestExplicitUniformMatchesDefault(t *testing.T) {
 // TestInternedMatchesGenericUnderAdversaries extends the engine
 // differential to the adversarial schedulers and ring dynamics: biased
 // arcs, eclipses, churn and stuck agents must leave the interned
-// table-lookup engine bit-identical to the generic engine (stuck trials
-// fall back to the generic path on both sides by construction — a frozen
-// site breaks the tables' site-independence).
+// table-lookup engine bit-identical to the generic engine for every
+// protocol that interns (stuck trials fall back to the generic path on
+// both sides by construction — a frozen site breaks the tables'
+// site-independence).
 func TestInternedMatchesGenericUnderAdversaries(t *testing.T) {
 	scenarios := []Scenario{
 		{Sched: &SchedulerSpec{Kind: "biased", Family: "hotspot", HotArcs: 4, Weight: 8}},
@@ -71,7 +72,7 @@ func TestInternedMatchesGenericUnderAdversaries(t *testing.T) {
 		{Sched: &SchedulerSpec{Churn: []ChurnEvent{{AtStep: 800, Remove: 2}, {AtStep: 2500, Insert: 2}}}},
 	}
 	cells := map[string][]int{
-		"ppl": {16, 33}, "orient": {16, 33}, "yokota": {16, 33},
+		"orient": {16, 33}, "yokota": {16, 33},
 		"angluin": {17, 33}, "fj": {16, 32}, "chenchen": {6, 8},
 	}
 	for name, sizes := range cells {

@@ -245,3 +245,63 @@ func TestRunBenchmarkModes(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBenchmarkWithoutTables pins the bench modes on a protocol that
+// attaches no interned tables (P_PL): the interned mode times the generic
+// tracked run and reports a fallback with the tracked and Trial steps, the
+// lanes mode runs its batch on the generic engine, and a cold trial
+// allocates no table set — its row's bytes stay far below the megabytes
+// a pair table costs. A protocol that interns (yokota) stays interned.
+func TestRunBenchmarkWithoutTables(t *testing.T) {
+	p, err := NewProtocol("ppl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{16, 32} {
+		interned, err := RunBenchmark("ppl", n, 3, Scenario{}, BenchInterned, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracked, err := RunBenchmark("ppl", n, 3, Scenario{}, BenchTracked, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trial, err := p.Trial(Scenario{}, n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !interned.Fallback || interned.Steps != tracked.Steps || interned.Steps != trial.Steps ||
+			interned.Converged != trial.Converged {
+			t.Fatalf("ppl n=%d: interned row %+v, tracked steps %d, Trial %+v", n, interned, tracked.Steps, trial)
+		}
+		cold, err := RunBenchmark("ppl", n, 3, Scenario{}, BenchCold, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Allocs == 0 || cold.Bytes > 256<<10 {
+			t.Fatalf("ppl n=%d: cold trial allocated %d bytes in %d objects", n, cold.Bytes, cold.Allocs)
+		}
+	}
+	lanes, err := RunBenchmark("ppl", 16, 3, Scenario{}, BenchLanes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for i := 0; i < defaultBenchLanes; i++ {
+		res, err := p.Trial(Scenario{}, 16, 3+uint64(i)*benchLaneSeedStride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += res.Steps
+	}
+	if lanes.Lanes != defaultBenchLanes || lanes.Steps != sum || lanes.Fallback {
+		t.Fatalf("ppl lanes row %+v, solo trials sum to %d steps", lanes, sum)
+	}
+	yok, err := RunBenchmark("yokota", 16, 3, Scenario{}, BenchInterned, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if yok.Fallback {
+		t.Fatalf("yokota interned row fell back: %+v", yok)
+	}
+}
