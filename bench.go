@@ -26,19 +26,11 @@ const (
 	// replayed as table loads, with transparent generic fallback when the
 	// interner's capacity cap is exceeded. The timed run goes through
 	// tables pre-filled by an untimed warmup run of the same trajectory,
-	// so the row reports the layer's steady-state lookup throughput — the
-	// one-time fill cost is measured separately by BenchLanes, amortized
-	// across a batch exactly as sweeps pay it. A protocol that attaches no
-	// tables (P_PL) skips the warmup, times the generic tracked run and
-	// reports Fallback.
+	// so the row reports the layer's steady-state lookup throughput; no
+	// trial runs warm, and BenchCold times the fill every trial pays. A
+	// protocol that attaches no tables (P_PL) skips the warmup, times the
+	// generic tracked run and reports Fallback.
 	BenchInterned BenchMode = "interned"
-	// BenchLanes measures a batch of same-cell trials sharing one
-	// transition-table set, run back to back (LaneTrials): per-trial
-	// results are bit-identical to BenchInterned, but the table fills and
-	// state interning amortize across the batch. Steps and steps/sec
-	// aggregate the whole batch; Lanes records the batch width. A protocol
-	// that attaches no tables runs the batch on the generic engine.
-	BenchLanes BenchMode = "lanes"
 	// BenchCold times one whole Protocol.Trial: table construction, the
 	// interned run from empty tables, any capacity fallback and the
 	// generic finish — or, for a protocol that attaches no tables, the
@@ -46,14 +38,6 @@ const (
 	// trial takes, so its steps equal Trial's.
 	BenchCold BenchMode = "cold"
 )
-
-// defaultBenchLanes is the lane count of every BenchLanes row.
-const defaultBenchLanes = 8
-
-// benchLaneSeedStride spreads a base seed into per-lane seeds
-// (seed + i*stride); an odd 64-bit constant keeps the streams distinct for
-// any base.
-const benchLaneSeedStride = 0x9e3779b97f4a7c15
 
 // BenchResult is one measurement of the performance-baseline pipeline
 // (cmd/bench): steps per second of one protocol × ring size × scenario ×
@@ -76,9 +60,6 @@ type BenchResult struct {
 	// generic engine, or the protocol attaches no tables at all (P_PL) and
 	// ran generically throughout. Absent for every other mode.
 	Fallback bool `json:"fallback,omitempty"`
-	// Lanes is the number of trials a BenchLanes row ran over its shared
-	// table set; absent for every other mode.
-	Lanes int `json:"lanes,omitempty"`
 	// Bytes and Allocs are the heap bytes and objects one run of the timed
 	// region allocates: runtime.MemStats TotalAlloc and Mallocs deltas
 	// around one extra, untimed repetition of it. Unlike the timing they
@@ -118,8 +99,7 @@ type benchRunner interface {
 }
 
 // engineProtocol is the engine-level surface every built-in protocol
-// (ringProtocol) adds to the public Protocol contract: same-cell trials
-// sharing one table set, run back to back (LaneTrials), a fresh unrun
+// (ringProtocol) adds to the public Protocol contract: a fresh unrun
 // trial engine so RunBenchmark can time the run phase alone, and a pair
 // of trial engines for one cell over ONE shared table set. The interned
 // mode uses the pair — the first runner is an untimed warmup
@@ -128,7 +108,6 @@ type benchRunner interface {
 // measures the steady-state table-lookup throughput the mode is named for
 // rather than the one-time fill.
 type engineProtocol interface {
-	LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error)
 	newBench(sc Scenario, n int, seed uint64) (benchRunner, error)
 	newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error)
 }
@@ -136,21 +115,13 @@ type engineProtocol interface {
 // RunBenchmark executes one perf-baseline measurement: protocol name (a
 // registered built-in), requested ring size (FixSize-adjusted
 // internally), scheduler seed, scenario, and mode — BenchRaw, BenchTracked,
-// BenchInterned, BenchLanes or BenchCold. rawSteps is the step
-// budget of BenchRaw and ignored by the convergence modes, which run to
-// the scenario's budget. Fault-schedule scenarios are rejected: the modes
-// time a single uninterrupted run phase, so a burst schedule would be
-// silently skipped and the artifact would mislabel a fault-free
-// measurement. Custom registered protocols are not supported — the modes
-// need engine-level access that the public Protocol contract deliberately
-// does not expose.
-//
-// A BenchLanes row runs defaultBenchLanes same-cell trials with seeds
-// seed, seed+stride, … sharing one table set, run back to back. Its timed
-// region is the whole LaneTrials call — table construction included,
-// since amortizing that construction across the batch is exactly what the
-// mode exists to measure. Steps sums the batch; Converged reports whether
-// every lane hit its predicate.
+// BenchInterned or BenchCold. rawSteps is the step budget of BenchRaw and
+// ignored by the convergence modes, which run to the scenario's budget.
+// Fault-schedule scenarios are rejected: the modes time a single
+// uninterrupted run phase, so a burst schedule would be silently skipped
+// and the artifact would mislabel a fault-free measurement. Custom
+// registered protocols are not supported — the modes need engine-level
+// access that the public Protocol contract deliberately does not expose.
 //
 // The allocation count comes from a second, untimed run of the region:
 // reading runtime.MemStats stops the world, which must stay off the clock.
@@ -208,8 +179,8 @@ func RunBenchmark(name string, n int, seed uint64, sc Scenario, mode BenchMode, 
 }
 
 // benchRegion builds one unrun measurement of mode and returns its region:
-// the call RunBenchmark times, which fills in the row's steps, converged,
-// fallback and lanes fields.
+// the call RunBenchmark times, which fills in the row's steps, converged
+// and fallback fields.
 func benchRegion(p Protocol, b engineProtocol, sc Scenario, n int, seed uint64, mode BenchMode, rawSteps uint64) (func(*BenchResult) error, error) {
 	maxSteps := sc.MaxSteps(p, n)
 	switch mode {
@@ -244,23 +215,6 @@ func benchRegion(p Protocol, b engineProtocol, sc Scenario, n int, seed uint64, 
 			_, res.Converged, interned = timed.benchInterned(maxSteps)
 			res.Steps = timed.stepCount()
 			res.Fallback = !interned
-			return nil
-		}, nil
-	case BenchLanes:
-		seeds := make([]uint64, defaultBenchLanes)
-		for i := range seeds {
-			seeds[i] = seed + uint64(i)*benchLaneSeedStride
-		}
-		return func(res *BenchResult) error {
-			trials, err := b.LaneTrials(sc, n, seeds)
-			if err != nil {
-				return err
-			}
-			res.Lanes, res.Converged = len(seeds), true
-			for _, tr := range trials {
-				res.Steps += tr.Steps
-				res.Converged = res.Converged && tr.Converged
-			}
 			return nil
 		}, nil
 	case BenchCold:

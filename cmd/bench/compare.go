@@ -108,7 +108,7 @@ func keyOf(r repro.BenchResult) cellKey {
 // fallback are pure functions of the cell and the seed.
 var deterministicModes = map[repro.BenchMode]bool{
 	repro.BenchRaw: true, repro.BenchTracked: true, repro.BenchInterned: true,
-	repro.BenchLanes: true, repro.BenchCold: true,
+	repro.BenchCold: true,
 }
 
 // diffRows matches the rows of the two files by cell and seed. It
@@ -194,7 +194,7 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		fmt.Fprintf(stdout, "## baseline cell missing from %s: %s n=%d %s %s\n",
 			newPath, k.Protocol, k.N, k.Scenario, k.Mode)
 		switch k.Mode {
-		case string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), string(repro.BenchCold), "recovery":
+		case string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchCold), "recovery":
 			lostGated = true
 		}
 	}
@@ -232,19 +232,19 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 
 	ok := true
 	if gate && lostGated {
-		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/lanes/cold/recovery) missing from the new measurement")
+		fmt.Fprintln(stdout, "GATE FAIL: gated baseline cells (tracked/interned/cold/recovery) missing from the new measurement")
 		ok = false
 	}
 	// Gate 1: normalized engine throughput, once per convergence-engine
-	// mode — tracked, interned, lanes and cold each carry their own
-	// envelope, so a regression in the table-lookup layer cannot hide
-	// behind the tracked engine (or vice versa), nor one in trial setup
-	// behind either. Geometric mean across every cell
-	// with both the mode's row and a runbatch row in both files, so a
-	// single noisy cell cannot fail the build on its own while a broad
-	// regression cannot hide behind one improved cell either.
+	// mode — tracked, interned and cold each carry their own envelope, so
+	// a regression in the table-lookup layer cannot hide behind the
+	// tracked engine (or vice versa), nor one in trial setup behind
+	// either. Geometric mean across every cell with both the mode's row
+	// and a runbatch row in both files, so a single noisy cell cannot fail
+	// the build on its own while a broad regression cannot hide behind one
+	// improved cell either.
 	fmt.Fprintln(stdout)
-	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchLanes), string(repro.BenchCold)} {
+	for _, mode := range []string{string(repro.BenchTracked), string(repro.BenchInterned), string(repro.BenchCold)} {
 		logSum, cells := 0.0, 0
 		for _, k := range keys {
 			if k.Mode != mode {
@@ -263,7 +263,7 @@ func runCompare(stdout io.Writer, oldPath, newPath string, gate bool, maxTracked
 		}
 		if cells == 0 {
 			// Only the tracked mode is mandatory: the seed baseline predates
-			// the interned, lanes and cold modes, and -compare must keep
+			// the interned and cold modes, and -compare must keep
 			// working against it.
 			if gate && mode == string(repro.BenchTracked) {
 				fmt.Fprintf(stdout, "GATE WARN: no common %s+runbatch cells; %s gate not evaluated\n", mode, mode)

@@ -1,18 +1,15 @@
 // Command bench emits the repository's performance baseline,
 // BENCH_ringsim.json: steps per second for every requested protocol ×
-// ring size × scenario cell, in five engine modes — the raw generic
+// ring size × scenario cell, in four engine modes — the raw generic
 // Engine.Run transition loop (no convergence judgement; the mode keeps its
 // historical name "runbatch"), the incremental-tracker run to
-// convergence, the interned table-lookup run over warm tables, the
-// "lanes" mode — a batch of eight same-cell trials sharing one
-// transition-table set, run back to back, whose steps/sec aggregates the
-// batch — and the "cold" mode, one whole Protocol.Trial from empty
-// tables, the path every user trial takes — plus a "recovery" mode that
-// injects a mid-run fault burst through the public Trial API and records
-// the exact number of steps the protocol needed to re-converge, and an
-// "eclipse" mode that partitions the ring (an eclipse scheduler kills
-// n/4 arcs for 2n² steps) and records the steps from the window closing
-// to re-convergence. Every row also records the heap bytes and objects
+// convergence, the interned table-lookup run over warm tables, and the
+// "cold" mode, one whole Protocol.Trial from empty tables, the path every
+// user trial takes — plus a "recovery" mode that injects a mid-run fault
+// burst through the public Trial API and records the exact number of steps
+// the protocol needed to re-converge, and an "eclipse" mode that
+// partitions the ring (an eclipse scheduler kills n/4 arcs for 2n² steps)
+// and records the steps from the window closing to re-convergence. Every row also records the heap bytes and objects
 // one run of its timed region allocates, counted on an extra, untimed
 // repetition. CI uploads the file as an artifact on every push and gates
 // regressions against the committed BENCH_baseline.json, so the perf
@@ -21,10 +18,9 @@
 // Usage:
 //
 //	bench [-protocols ppl,yokota,...] [-sizes 16,32,64] [-scenarios random]
-//	      [-modes runbatch,tracked,interned,lanes,cold,recovery,eclipse]
+//	      [-modes runbatch,tracked,interned,cold,recovery,eclipse]
 //	      [-trials 3] [-bestof 3] [-seed 1] [-rawsteps 2000000] [-ccmax 8]
-//	      [-maxstates 0] [-quick]
-//	      [-o BENCH_ringsim.json] [-records FILE]
+//	      [-quick] [-o BENCH_ringsim.json] [-records FILE]
 //	bench -compare [-gate] [-max-tracked-regress 0.20] [-max-recovery-drift 0.05]
 //	      old.json new.json
 //
@@ -38,7 +34,7 @@
 //
 // -compare reads two baseline files and prints per-cell steps/sec ratios
 // (new/old) next to each cell's mean bytes and allocs. With -gate it exits
-// non-zero when the tracked-, interned-, lanes- or cold-mode throughput —
+// non-zero when the tracked-, interned- or cold-mode throughput —
 // each normalized by the same file's runbatch throughput, so baselines
 // recorded on different machines stay comparable, and each gated by its
 // own geomean so the table-lookup layer cannot hide behind the tracked
@@ -95,7 +91,6 @@ type config struct {
 	seed      uint64
 	rawSteps  uint64
 	ccmax     int
-	maxStates int
 	out       string
 	records   string
 }
@@ -111,13 +106,12 @@ func main() {
 		protocols  = flag.String("protocols", "ppl,yokota,angluin,fj,orient,chenchen", "comma-separated registered protocol names")
 		sizes      = flag.String("sizes", "16,32,64", "comma-separated ring sizes")
 		scenarios  = flag.String("scenarios", "random", "comma-separated init classes (non-ppl protocols skip all but random)")
-		modes      = flag.String("modes", "runbatch,tracked,interned,lanes,cold,recovery,eclipse", "comma-separated modes: runbatch, tracked, interned, lanes, cold, recovery, eclipse")
+		modes      = flag.String("modes", "runbatch,tracked,interned,cold,recovery,eclipse", "comma-separated modes: runbatch, tracked, interned, cold, recovery, eclipse")
 		trials     = flag.Int("trials", 3, "measurements per cell (seeds seed..seed+trials-1)")
 		bestOf     = flag.Int("bestof", 3, "timings per measurement; the fastest is kept")
 		seed       = flag.Uint64("seed", 1, "first scheduler seed")
 		rawSteps   = flag.Uint64("rawsteps", 2_000_000, "step budget of the runbatch mode")
 		ccmax      = flag.Int("ccmax", 8, "largest size for the [11]-style baseline (exponential class)")
-		maxStates  = flag.Int("maxstates", 0, "interner capacity cap for every cell (0: engine default)")
 		out        = flag.String("o", "", "output path (default: stdout)")
 		records    = flag.String("records", "", "also stream each measurement as a TrialRecord JSONL line to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the measurement loop to this file")
@@ -179,7 +173,7 @@ func main() {
 	cfg = config{
 		protocols: *protocols, sizes: *sizes, scenarios: *scenarios, modes: *modes,
 		trials: *trials, bestOf: *bestOf, seed: *seed, rawSteps: *rawSteps,
-		ccmax: *ccmax, maxStates: *maxStates, out: *out, records: *records,
+		ccmax: *ccmax, out: *out, records: *records,
 	}
 	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -344,7 +338,7 @@ func run(stdout io.Writer, cfg config) error {
 			if err != nil {
 				return err
 			}
-			sc := repro.Scenario{Init: init, MaxStates: cfg.maxStates}
+			sc := repro.Scenario{Init: init}
 			if err := p.Validate(sc); err != nil {
 				// Scenario unsupported by this protocol (e.g. noleader on
 				// a baseline): skip the cell, not the run.

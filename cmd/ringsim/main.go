@@ -75,7 +75,6 @@ func run(args []string, w io.Writer) error {
 		sched   = fs.String("sched", "", "arc scheduler: uniform, hotspot:arcs=K,weight=W, ramp:weight=W, eclipse:period=P,duration=D,arcs=K[,offset=O][,start=S]")
 		churn   = fs.String("churn", "", "churn schedule, comma-separated del<K>@<step> / add<K>@<step> events")
 		stuck   = fs.Int("stuck", 0, "freeze this many randomly chosen agents for the whole trial")
-		maxst   = fs.Int("maxstates", 0, "interner capacity cap (0 = engine default; interned runs fall back to the generic engine past it)")
 		verbose = fs.Bool("v", false, "print the reported trial's final configuration (ppl)")
 		stat    = fs.Bool("stats", false, "print the reported trial's event counters and final snapshot (ppl)")
 		trials  = fs.Int("trials", 1, "number of repetitions (seeds seed..seed+trials-1, run in parallel)")
@@ -87,9 +86,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	sc, err := scenarioFor(*init, *faults, *sched, *churn, *stuck)
-	if err == nil {
-		sc.MaxStates = *maxst
-	}
 	if err != nil {
 		return err
 	}

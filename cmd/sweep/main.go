@@ -16,7 +16,6 @@
 //	sweep -json FILE      also write the E1 Table 1 report as JSON
 //	sweep -csv FILE       also write the E1 Table 1 report as CSV
 //	sweep -record FILE    also stream the E1 per-trial records as JSONL
-//	sweep -maxstates K    cap the interned engine's state interner at K
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 	"repro/internal/population"
 	"repro/internal/runner"
 	"repro/internal/stats"
-	"repro/internal/twohop"
 	"repro/internal/xrand"
 )
 
@@ -61,10 +59,6 @@ var table1Report *repro.Report
 // there as trials finish.
 var recordPath string
 
-// maxInternStates is the -maxstates interner-capacity override applied to
-// every section's scenarios (0 = engine default).
-var maxInternStates int
-
 // recordCount is the number of records E1 streamed to -record, -1 until
 // the section runs.
 var recordCount int64 = -1
@@ -76,11 +70,9 @@ func main() {
 	jsonPath := flag.String("json", "", "write the E1 Table 1 report as JSON to this file")
 	csvPath := flag.String("csv", "", "write the E1 Table 1 report as CSV to this file")
 	record := flag.String("record", "", "stream the E1 per-trial records as JSONL to this file")
-	maxStates := flag.Int("maxstates", 0, "interner capacity cap per trial (0 = engine default; interned runs fall back to the generic engine past it)")
 	flag.Parse()
 	pool = runner.Options{Workers: *workers}
 	recordPath = *record
-	maxInternStates = *maxStates
 
 	prof := profile{
 		table1Sizes:  []int{16, 32, 64, 128},
@@ -163,7 +155,6 @@ func check(err error) {
 // sweepRow runs one protocol through the public Experiment API and returns
 // its report row (cells in size order plus the fitted exponent).
 func sweepRow(p repro.Protocol, sc repro.Scenario, sizes []int, trials int) repro.ReportRow {
-	sc.MaxStates = maxInternStates
 	rep, err := repro.NewExperiment().
 		Protocols(p).
 		Sizes(sizes...).
@@ -359,30 +350,43 @@ func e7Modes(p profile) {
 	}
 	for _, n := range sizes {
 		par := core.NewParams(n)
-		pr := core.New(par)
 		mean := trialMeans(p.deepTrials, func(t int) (float64, bool) {
-			eng := population.NewEngine(population.DirectedRing(n), pr.Step, xrand.New(uint64(t)))
-			cfg := par.NoLeaderAligned()
-			for j := range cfg {
-				cfg[j].Clock = 0
-			}
-			eng.SetStates(cfg)
-			steps, ok := eng.RunUntil(func(c []core.State) bool {
-				allDetect := true
-				for _, s := range c {
-					if s.Leader {
-						return true
-					}
-					if par.Mode(s) != core.Detect {
-						allDetect = false
-					}
-				}
-				return allDetect
-			}, n, 4000*uint64(n)*uint64(n)*uint64(par.Psi))
+			steps, ok := e7Trial(par, uint64(t))
 			return float64(steps), ok
 		})
 		fmt.Printf("| %d | %.0f | %.3f |\n", n, mean, mean/(float64(n)*float64(n)*math.Log2(float64(n))))
 	}
+}
+
+// e7Trial runs one E7 trial from the leaderless aligned start with every
+// clock at zero and returns the exact hitting time of "a leader exists, or
+// every agent is in Detect mode" within a 4000·n²·ψ budget. A one-channel
+// RingTracker judges it after every step: agent bit 0 counts leaders, bit 1
+// agents not yet in Detect mode.
+func e7Trial(par core.Params, seed uint64) (uint64, bool) {
+	eng := population.NewEngine(population.DirectedRing(par.N), core.New(par).Step, xrand.New(seed))
+	cfg := par.NoLeaderAligned()
+	for j := range cfg {
+		cfg[j].Clock = 0
+	}
+	eng.SetStates(cfg)
+	eng.SetTracker(population.NewRingTracker(population.RingSpec[core.State]{
+		AgentMask: func(s core.State) uint8 {
+			var m uint8
+			if s.Leader {
+				m |= 1
+			}
+			if par.Mode(s) != core.Detect {
+				m |= 2
+			}
+			return m
+		},
+		Converged: func(c *population.LocalCounts, _ []core.State) bool {
+			return c.Agent[0] > 0 || c.Agent[1] == 0
+		},
+	}))
+	n := uint64(par.N)
+	return eng.RunUntilConverged(4000 * n * n * uint64(par.Psi))
 }
 
 // e8Theorem31 is the headline sweep: P_PL convergence and normalization.
@@ -431,28 +435,18 @@ func e8Theorem31(p profile) {
 	fmt.Printf("steps/n², [28] baseline:        %s — flat ⇒ Θ(n²), the paper's separation.\n", floats(normY))
 }
 
-// e9Orientation measures Theorem 5.2.
+// e9Orientation measures Theorem 5.2 on the registered orient protocol.
 func e9Orientation(p profile) {
 	header("E9", "Theorem 5.2: ring orientation in O(n² log n) steps, O(1) states")
 	fmt.Println("| n | mean steps | steps/(n² log n) |")
 	fmt.Println("|---|---|---|")
-	var xs, ys []float64
-	for _, n := range p.orientSizes {
-		colors := twohop.Coloring(n)
-		pr := orient.New()
-		mean := trialMeans(p.deepTrials, func(t int) (float64, bool) {
-			eng := population.NewEngine(population.UndirectedRing(n), pr.Step, xrand.New(uint64(t)))
-			eng.SetStates(orient.InitialConfig(colors, xrand.New(uint64(t)+500)))
-			eng.SetTracker(population.NewRingTracker(orient.OrientedSpec()))
-			steps, ok := eng.RunUntilConverged(6000 * uint64(n) * uint64(n))
-			return float64(steps), ok
-		})
-		xs = append(xs, float64(n))
-		ys = append(ys, mean)
-		fmt.Printf("| %d | %.0f | %.3f |\n", n, mean, mean/(float64(n)*float64(n)*math.Log2(float64(n))))
+	row := sweepRow(mustProtocol("orient"), repro.Scenario{}, p.orientSizes, p.deepTrials)
+	for _, c := range row.Cells {
+		n := float64(c.N)
+		fmt.Printf("| %d | %.0f | %.3f |\n", c.N, c.Steps.Mean, c.Steps.Mean/(n*n*math.Log2(n)))
 	}
 	fmt.Printf("\nfitted exponent: n^%.2f (paper: O(n² log n)); states/agent: %d (constant).\n",
-		stats.PowerLawExponent(xs, ys), orient.StateCount(3))
+		row.Exponent, orient.StateCount(3))
 }
 
 // e10Kappa sweeps the κ_max multiplier. Random dense starts converge

@@ -200,19 +200,16 @@
 // of a Go map; pair memos live in a dense array while the state count is
 // small and migrate to an open-addressed hashed slab — interleaved
 // key/value words, fronted by a small direct-mapped cache and a software
-// prefetch of the next pair's lookup line — when it grows; the
-// interner's default capacity cap is the full ID space (a memory
-// backstop, adjustable via Scenario.MaxStates); and LaneTrials runs
-// same-cell trials sharing one table set, run back to back, so minting
-// and table fills amortize across the batch.
+// prefetch of the next pair's lookup line — when it grows; and the
+// interner's capacity cap is the full ID space, a memory backstop. Every
+// trial builds its own table set and starts from empty tables.
 //
 // The layer is a pure accelerator: the RNG stream, step counts, leader
 // accounting, hitting times and probe event streams are bit-identical to
 // the generic engine (pinned by differential tests across the five
 // interning protocols, fuzzed seeds, adversarial schedulers and mid-run
-// fault bursts — the lane path included), and it falls back to the
-// generic path transparently when the run exceeds the interner's
-// capacity cap.
+// fault bursts), and it falls back to the generic path transparently when
+// the run exceeds the interner's capacity cap.
 //
 // P_PL attaches no tables: a trial visits ~200·n distinct states, most of
 // them once, so pair memoization has nothing to reuse, and every P_PL
@@ -223,17 +220,16 @@
 // # Performance baseline (BENCH_ringsim.json)
 //
 // RunBenchmark (and the cmd/bench command wrapping it) measures steps per
-// second of every built-in protocol × ring size × scenario in five
+// second of every built-in protocol × ring size × scenario in four
 // modes: "runbatch" (the raw batched transition loop, no convergence
 // judgement — the ceiling), "tracked" (run-to-convergence through the
 // incremental tracker with exact hitting times), "interned"
 // (the table-lookup layer timed steady-state against tables pre-filled
 // by an untimed warmup run — warm tables no user path runs — with its
 // Fallback flag recorded per row; P_PL, which attaches no tables, times
-// its generic tracked run and reports a fallback), "lanes" (same-cell
-// trials sharing one table set, run back to back — the cold fill paid
-// once, amortized) and "cold" (one whole Protocol.Trial from empty
-// tables, fallback included — the path every user trial takes). Every
+// its generic tracked run and reports a fallback) and "cold" (one whole
+// Protocol.Trial from empty tables, fallback included — the path every
+// user trial takes). Every
 // row also records the heap bytes and objects one run of its timed
 // region allocates, counted on an extra, untimed repetition.
 // cmd/bench additionally measures "recovery" rows —
@@ -242,11 +238,11 @@
 // ring partition's window closing back to convergence — times every
 // measurement best-of-k (-bestof, recorded in
 // the envelope), and its -compare subcommand diffs two baseline files
-// and gates CI: tracked-, interned-, lanes- and cold-mode throughput,
+// and gates CI: tracked-, interned- and cold-mode throughput,
 // each normalized by the same file's runbatch rate (machine-portable) and
 // gated on its own geomean, must not regress more than 20%, mean
 // recovery steps (deterministic counts) must not drift more than 5%, no
-// runbatch, tracked, interned, lanes or cold row present in both files
+// runbatch, tracked, interned or cold row present in both files
 // may change its steps, converged or fallback (deterministic too), and
 // no row present in both may grow its bytes or allocs by more than a
 // tenth (with a small absolute slack) against the committed

@@ -61,7 +61,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // 12000 states this also exercises the interner's open-table growth path.
 func TestPackedInternerCollisionFree(t *testing.T) {
 	c := Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
+	in := population.NewPackedInterner(c, population.MaxInternStates)
 	states := allStates()
 	ids := make([]uint32, len(states))
 	for i, s := range states {

@@ -61,7 +61,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // mint.
 func TestPackedInternerCollisionFree(t *testing.T) {
 	c := Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
+	in := population.NewPackedInterner(c, population.MaxInternStates)
 	states := allStates()
 	ids := make([]uint32, len(states))
 	for i, s := range states {

@@ -106,11 +106,10 @@ func (p Params) attachMeta(spec *population.RingSpec[State]) {
 // hintJ): when the verdict is re-evaluated at the same head and that pair
 // still fails, the O(n) chain walk collapses to an O(ψ) re-check. The hint
 // is purely advisory — a stale hint left by another trial costs one wasted
-// pair check before the full scan — so the many trials one spec instance
-// serves (same-cell trials sharing one table set, run back to back) stay
-// exact. A hint hit may witness a later failing pair than the full scan's
-// first one; both pin genuinely failing checks, which is all the witness
-// cache requires (see the ResidualMeta contract).
+// pair check before the full scan — so every trial a spec instance serves
+// stays exact. A hint hit may witness a later failing pair than the full
+// scan's first one; both pin genuinely failing checks, which is all the
+// witness cache requires (see the ResidualMeta contract).
 func (p Params) metaResidual() func(*population.LocalCounts, []uint64) (bool, population.Witness) {
 	hintK, hintJ := -1, -1
 	return func(c *population.LocalCounts, meta []uint64) (bool, population.Witness) {

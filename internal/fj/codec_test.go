@@ -52,7 +52,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // interner: one distinct ID per distinct state, stable on re-intern.
 func TestPackedInternerCollisionFree(t *testing.T) {
 	c := Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
+	in := population.NewPackedInterner(c, population.MaxInternStates)
 	states := allStates()
 	ids := make([]uint32, len(states))
 	for i, s := range states {

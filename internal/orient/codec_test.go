@@ -69,7 +69,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // interner: one distinct ID per distinct state, stable on re-intern.
 func TestPackedInternerCollisionFree(t *testing.T) {
 	c := Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
+	in := population.NewPackedInterner(c, population.MaxInternStates)
 	distinct := make(map[State]uint32)
 	for _, s := range sampleStates() {
 		id, ok := in.Intern(s)

@@ -19,9 +19,9 @@ package population
 // trial, most of them once — attaches no tables and runs on the generic
 // engine from step 0.
 //
-// All memoized state lives in a Tables value, which any number of engines
-// may share — same-cell trials sharing one table set, run back to back,
-// start from the fills of the trials before them. Sharing is
+// All memoized state lives in a Tables value. Every trial builds its own
+// and starts from empty tables; engines may share one (the interned bench
+// mode times a replay through tables an untimed run filled), but sharing is
 // single-goroutine: a Tables must only ever be touched from one goroutine
 // at a time.
 //
@@ -53,8 +53,8 @@ type EnvSpec[S any] struct {
 	Key func() uint32
 	// Delta encodes the transition's effect on the environment's backing
 	// counters in at most 11 bits (the memo entry's spare field). It must
-	// be a pure function of the four states — this is what lets same-cell
-	// trials share one table set although their live counters differ.
+	// be a pure function of the four states: the memo entry stores it once
+	// per (key, pair) and replays it whatever the live counters are.
 	Delta func(lb, rb, la, ra S) uint32
 	// Apply applies an encoded delta to the backing counters.
 	Apply func(delta uint32)
@@ -64,26 +64,18 @@ type EnvSpec[S any] struct {
 type InternOptions struct {
 	// MaxStates caps the interner; once an execution needs more distinct
 	// states the engine permanently falls back to the generic path.
-	// 0 selects DefaultMaxStates; values above MaxInternStates are
-	// rejected by NewTables (memo entries pack successor IDs into
-	// idBits-wide fields).
+	// 0 selects MaxInternStates, which every trial uses; a lower cap lets
+	// tests trip the fallback. Values above MaxInternStates are rejected
+	// by NewTables.
 	MaxStates int
 }
 
-const (
-	// DefaultMaxStates is the interner's hard ID ceiling: the cap is a
-	// memory backstop, not a reuse heuristic — tables grow lazily with the
-	// pairs actually seen, and only protocols whose pairs repeat attach
-	// tables at all. The full ceiling is the default because warm table
-	// sets genuinely use it: same-cell trials sharing one table set, run
-	// back to back, push past 2^18 (a tighter historical default that
-	// silently felled lane batches back to the generic path). Callers can
-	// lower it through InternOptions or Scenario.MaxStates.
-	DefaultMaxStates = MaxInternStates
-	// MaxInternStates is the hard ceiling on InternOptions.MaxStates: memo
-	// entries address successor states in idBits-wide fields.
-	MaxInternStates = 1 << idBits
-)
+// MaxInternStates is the interner's cap, the ID ceiling: memo entries
+// address successor states in idBits-wide fields. The cap is a memory
+// backstop, not a reuse heuristic — tables grow lazily with the pairs
+// actually seen, and only protocols whose pairs repeat attach tables at
+// all.
+const MaxInternStates = 1 << idBits
 
 // defaultDenseStates keeps the dense tier's stride² array at or below 512²
 // entries (2 MiB) and its growth re-layouts cheap; past it pair tables
@@ -121,13 +113,12 @@ const (
 	envDeltaMask    = 1<<11 - 1
 )
 
-// Tables is the shared, engine-independent half of the interned layer: the
-// state interner, the memoized per-key transition tables, and the per-ID
-// metadata (leader bits, agent masks). One Tables serves any number of
-// engines of the same protocol — a cell's trials share one — as long as
-// all use is single-goroutine and every attached engine runs
-// the same transition and leader predicate the tables were built for, with
-// a tracker (if any) over the same spec.
+// Tables is the engine-independent half of the interned layer: the state
+// interner, the memoized per-key transition tables, and the per-ID
+// metadata (leader bits, agent masks). One Tables may serve several
+// engines of the same protocol as long as all use is single-goroutine and
+// every attached engine runs the same transition and leader predicate the
+// tables were built for, with a tracker (if any) over the same spec.
 type Tables[S comparable] struct {
 	spec     RingSpec[S]
 	isLeader func(S) bool
@@ -156,7 +147,7 @@ func NewTables[S comparable](spec RingSpec[S], isLeader func(S) bool, codec *Pac
 		panic("population: NewTables on a meta-word spec; the interned loop feeds closure-mode trackers only")
 	}
 	if opts.MaxStates <= 0 {
-		opts.MaxStates = DefaultMaxStates
+		opts.MaxStates = MaxInternStates
 	}
 	if opts.MaxStates > MaxInternStates {
 		panic("population: InternOptions.MaxStates exceeds MaxInternStates")

@@ -75,9 +75,9 @@ type RingSpec[S any] struct {
 	// check Residual would witness. A spec missing any meta form runs on
 	// the closures alone. ResidualMeta may keep internal memoization (e.g. a
 	// last-failing-check hint) as long as its verdict stays exact for ANY
-	// meta slice it is handed — one spec instance serves many trials
-	// (same-cell trials sharing one table set, run back to back, each with
-	// its own meta slice), so a hint must be advisory, never load-bearing.
+	// meta slice it is handed — a spec value may serve more than one
+	// tracker, each with its own meta slice, so a hint must be advisory,
+	// never load-bearing.
 	MetaID      func(s S) uint64
 	ArcMaskMeta func(l, r uint64) uint8
 	// AgentMaskMeta is the meta form of AgentMask, under the same

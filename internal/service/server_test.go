@@ -233,6 +233,7 @@ func TestBadSpecIs400(t *testing.T) {
 		"zero trials":      `{"protocols":["ppl"],"sizes":[8],"trials":0}`,
 		"ring too small":   `{"protocols":["ppl"],"sizes":[1],"trials":1}`,
 		"unknown field":    `{"protocols":["ppl"],"sizes":[8],"trials":1,"bogus":true}`,
+		"max_states":       `{"protocols":["yokota"],"sizes":[8],"trials":1,"scenario":{"max_states":8}}`,
 		"bad metric":       `{"protocols":["ppl"],"sizes":[8],"trials":1,"metrics":[{"observable":"steps","agg":"exotic"}]}`,
 		"not json":         `{{{`,
 	} {

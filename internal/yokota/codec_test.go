@@ -77,7 +77,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestPackedInternerCollisionFree(t *testing.T) {
 	p := New(64)
 	c := p.Codec()
-	in := population.NewPackedInterner(c, population.DefaultMaxStates)
+	in := population.NewPackedInterner(c, population.MaxInternStates)
 	states := domainStates(p, xrand.New(1))
 	ids := make([]uint32, len(states))
 	for i, s := range states {

@@ -3,6 +3,10 @@ package repro
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/angluin"
+	"repro/internal/population"
+	"repro/internal/yokota"
 )
 
 // captureProbe records a trial's full typed event stream for differential
@@ -175,6 +179,61 @@ func TestReuseGuardOutcomes(t *testing.T) {
 		if gen != res {
 			t.Fatalf("%s n=%d: TrialResult diverged\ngeneric:  %+v\ninterned: %+v", c.name, n, gen, res)
 		}
+	}
+}
+
+// fallbackCap caps the table sets of TestCappedTablesFallBackMidTrial: above
+// the distinct states of any of its initial configurations (at most 33 for
+// yokota, 29 for angluin at n=33), below the states any of its runs visits
+// (at least 176 and 49).
+const fallbackCap = 40
+
+// TestCappedTablesFallBackMidTrial trips the interner's capacity cap
+// inside real protocol trials: yokota and angluin at n=33, plain and with a
+// fault burst, each run over a table set its descriptor builds with
+// fallbackCap. Every run must start interned, fall back mid-run once the
+// interner is full, and still equal Trial's result — the fallback executes
+// the arc it has already drawn on the generic engine and goes on with the
+// same scheduler stream.
+func TestCappedTablesFallBackMidTrial(t *testing.T) {
+	for _, sc := range []Scenario{{}, {Faults: []Fault{{AtStep: 500, Agents: 3}}}} {
+		for _, seed := range []uint64{1, 2, 3, 5, 8, 13} {
+			assertCappedFallback[yokota.State](t, "yokota", sc, 33, seed)
+			assertCappedFallback[angluin.State](t, "angluin", sc, 33, seed)
+		}
+	}
+}
+
+// assertCappedFallback runs one trial of the built-in protocol name over a
+// table set capped at fallbackCap; see TestCappedTablesFallBackMidTrial.
+func assertCappedFallback[S comparable](t *testing.T, name string, sc Scenario, n int, seed uint64) {
+	t.Helper()
+	p, err := NewProtocol(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Trial(sc, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := p.(*ringProtocol[S])
+	tab := rp.tables(n, population.InternOptions{MaxStates: fallbackCap})
+	te := rp.trial(sc, n, seed, tab)
+	start := make(map[S]bool)
+	for _, s := range te.eng.Snapshot() {
+		start[s] = true
+	}
+	if len(start) >= fallbackCap {
+		t.Fatalf("%s n=%d seed=%d: %d distinct initial states leave no room under the cap %d", name, n, seed, len(start), fallbackCap)
+	}
+	got := te.run(sc, n, seed, sc.MaxSteps(p, n), name, nil)
+	if te.accel.Interned() || tab.States() != fallbackCap {
+		t.Fatalf("%s n=%d seed=%d: interned=%v with %d states; want a fallback with the interner full at %d",
+			name, n, seed, te.accel.Interned(), tab.States(), fallbackCap)
+	}
+	if got != want {
+		t.Fatalf("%s n=%d seed=%d faults=%d: capped trial diverged\ncapped: %+v\nTrial:  %+v",
+			name, n, seed, len(sc.Faults), got, want)
 	}
 }
 

@@ -131,10 +131,6 @@ func TestTrialRejectsUnfixedRingSize(t *testing.T) {
 				_, err := ProbeTrial(p, Scenario{}, c.n, 1, &RecordingProbe{})
 				return err
 			},
-			"LaneTrials": func() error {
-				_, err := p.(engineProtocol).LaneTrials(Scenario{}, c.n, []uint64{1})
-				return err
-			},
 		}
 		if c.name == "angluin" {
 			calls["ObserveTrial"] = func() error {

@@ -371,13 +371,6 @@ func (te trialEngine[S]) benchFill(maxSteps uint64) {
 // stepCount returns the scheduler steps executed so far.
 func (te trialEngine[S]) stepCount() uint64 { return te.eng.Steps() }
 
-// internOpts maps the scenario's interner-capacity knob onto the interned
-// layer's options. Scenario.Validate bounds the knob, so every table
-// construction site routes through here.
-func internOpts(sc Scenario) population.InternOptions {
-	return population.InternOptions{MaxStates: sc.MaxStates}
-}
-
 // validateElection is the scenario check shared by the four baselines:
 // directed ring only, random starts only (their hand-crafted hard
 // instances are not defined), any fault schedule and budget.
@@ -405,7 +398,7 @@ func validateFixedElection(info ProtocolInfo, sc Scenario) error {
 
 // ringProtocol is the one adapter between a protocol package and the
 // Protocol contract. Its fields are the protocol's descriptor; its
-// methods are the only copy of the trial, lane and bench entry paths.
+// methods are the only copy of the trial and bench entry paths.
 // Adding a protocol means one descriptor plus one mustRegister line.
 type ringProtocol[S comparable] struct {
 	info     ProtocolInfo
@@ -413,11 +406,12 @@ type ringProtocol[S comparable] struct {
 	fixSize  func(n int) int // nil: every size is admissible
 	maxSteps func(n int) uint64
 	validate func(info ProtocolInfo, sc Scenario) error
-	// tables builds the shared interned table set of one (scenario, n)
-	// cell; every trial engine of the cell may attach to it. Nil for a
-	// protocol whose state pairs rarely repeat: its trials run on the
-	// generic engine from step 0.
-	tables func(sc Scenario, n int) *population.Tables[S]
+	// tables builds an empty interned table set for rings of n agents.
+	// Every trial builds its own with the zero opts, whose cap is the ID
+	// width; opts exists so a test can trip the capacity fallback inside a
+	// real trial. Nil for a protocol whose state pairs rarely repeat: its
+	// trials run on the generic engine from step 0.
+	tables func(n int, opts population.InternOptions) *population.Tables[S]
 	// trial wires one unrun trial engine over tab: initial configuration,
 	// leader tracking, the scenario's scheduler and the interned layer
 	// (none when tab is nil).
@@ -439,18 +433,18 @@ func (p *ringProtocol[S]) MaxSteps(n int) uint64 { return p.maxSteps(n) }
 
 func (p *ringProtocol[S]) Validate(sc Scenario) error { return p.validate(p.info, sc) }
 
-// newTables builds one cell's shared table set, or nil when the protocol
-// does not intern.
-func (p *ringProtocol[S]) newTables(sc Scenario, n int) *population.Tables[S] {
+// newTables builds one trial's table set, or nil when the protocol does
+// not intern.
+func (p *ringProtocol[S]) newTables(n int) *population.Tables[S] {
 	if p.tables == nil {
 		return nil
 	}
-	return p.tables(sc, n)
+	return p.tables(n, population.InternOptions{})
 }
 
 // newTrial wires one trial engine over a table set of its own.
 func (p *ringProtocol[S]) newTrial(sc Scenario, n int, seed uint64) trialEngine[S] {
-	return p.trial(sc, n, seed, p.newTables(sc, n))
+	return p.trial(sc, n, seed, p.newTables(n))
 }
 
 func (p *ringProtocol[S]) Trial(sc Scenario, n int, seed uint64) (TrialResult, error) {
@@ -505,27 +499,6 @@ func ObserveTrial[S comparable](p Protocol, sc Scenario, n int, seed uint64, pro
 	return rp.observedTrial(sc, n, seed, probe, observe)
 }
 
-// LaneTrials runs a batch of same-cell trials back to back over one shared
-// table set, each through the ordinary trialEngine.run. Memo entries are
-// pure functions of the state pair, so every trial after the first only
-// starts from warmer tables: results are bit-identical to calling Trial
-// per seed, and callers may freely switch between the two paths.
-func (p *ringProtocol[S]) LaneTrials(sc Scenario, n int, seeds []uint64) ([]TrialResult, error) {
-	if err := p.Validate(sc); err != nil {
-		return nil, err
-	}
-	if err := checkRingSize(p, n); err != nil {
-		return nil, err
-	}
-	maxSteps := sc.MaxSteps(p, n)
-	tab := p.newTables(sc, n)
-	out := make([]TrialResult, len(seeds))
-	for i, seed := range seeds {
-		out[i] = p.trial(sc, n, seed, tab).run(sc, n, seed, maxSteps, p.info.Name, nil)
-	}
-	return out, nil
-}
-
 // newBench builds a fully wired, unrun trial engine for RunBenchmark to
 // time.
 func (p *ringProtocol[S]) newBench(sc Scenario, n int, seed uint64) (benchRunner, error) {
@@ -536,14 +509,14 @@ func (p *ringProtocol[S]) newBench(sc Scenario, n int, seed uint64) (benchRunner
 }
 
 // newBenchPair builds two trial engines for the same cell and seed over
-// one shared table set — the sharing LaneTrials uses — so RunBenchmark can
-// fill the tables with an untimed run and then time the identical
-// trajectory through them warm.
+// one shared table set, the only place two engines share one, so
+// RunBenchmark can fill the tables with an untimed run and then time the
+// identical trajectory through them warm.
 func (p *ringProtocol[S]) newBenchPair(sc Scenario, n int, seed uint64) (warm, timed benchRunner, err error) {
 	if err := p.Validate(sc); err != nil {
 		return nil, nil, err
 	}
-	tab := p.newTables(sc, n)
+	tab := p.newTables(n)
 	return p.trial(sc, n, seed, tab), p.trial(sc, n, seed, tab), nil
 }
 
@@ -625,9 +598,9 @@ func orientProtocol() Protocol {
 			}
 			return rejectChurn(info, sc)
 		},
-		tables: func(sc Scenario, _ int) *population.Tables[orient.State] {
+		tables: func(_ int, opts population.InternOptions) *population.Tables[orient.State] {
 			codec := orient.Codec()
-			return population.NewTables(orient.OrientedSpec(), nil, &codec, nil, internOpts(sc))
+			return population.NewTables(orient.OrientedSpec(), nil, &codec, nil, opts)
 		},
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[orient.State]) trialEngine[orient.State] {
 			colors := twohop.Coloring(n)
@@ -674,10 +647,10 @@ func yokotaProtocol() Protocol {
 		states:   func(n int) uint64 { return yokota.New(2 * n).StateCount() },
 		maxSteps: func(n int) uint64 { return 800 * uint64(n) * uint64(n) },
 		validate: validateElection,
-		tables: func(sc Scenario, n int) *population.Tables[yokota.State] {
+		tables: func(n int, opts population.InternOptions) *population.Tables[yokota.State] {
 			pr := yokota.New(2 * n)
 			codec := pr.Codec()
-			return population.NewTables(pr.StableSpec(), yokota.IsLeader, &codec, nil, internOpts(sc))
+			return population.NewTables(pr.StableSpec(), yokota.IsLeader, &codec, nil, opts)
 		},
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[yokota.State]) trialEngine[yokota.State] {
 			pr := yokota.New(2 * n)
@@ -715,9 +688,9 @@ func angluinProtocol() Protocol {
 		},
 		maxSteps: func(n int) uint64 { return 400 * uint64(n) * uint64(n) * uint64(n) },
 		validate: validateElection,
-		tables: func(sc Scenario, _ int) *population.Tables[angluin.State] {
+		tables: func(_ int, opts population.InternOptions) *population.Tables[angluin.State] {
 			codec := angluin.Codec()
-			return population.NewTables(angluin.New(2).StableSpec(), angluin.IsLeader, &codec, nil, internOpts(sc))
+			return population.NewTables(angluin.New(2).StableSpec(), angluin.IsLeader, &codec, nil, opts)
 		},
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[angluin.State]) trialEngine[angluin.State] {
 			pr := angluin.New(2)
@@ -748,12 +721,12 @@ func fjProtocol() Protocol {
 		states:   func(int) uint64 { return fj.New().StateCount() },
 		maxSteps: func(n int) uint64 { return 400 * uint64(n) * uint64(n) * uint64(n) },
 		validate: validateFixedElection,
-		tables: func(sc Scenario, _ int) *population.Tables[fj.State] {
+		tables: func(_ int, opts population.InternOptions) *population.Tables[fj.State] {
 			codec := fj.Codec()
 			// Tables only read the env's shape (Keys, the pure Delta); any
 			// runner's EnvSpec supplies them.
 			env := fj.NewRunner(3, xrand.New(1)).InternEnv()
-			return population.NewTables(fj.New().StableSpec(), fj.IsLeader, &codec, env, internOpts(sc))
+			return population.NewTables(fj.New().StableSpec(), fj.IsLeader, &codec, env, opts)
 		},
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[fj.State]) trialEngine[fj.State] {
 			ru := fj.NewRunner(n, xrand.New(seed))
@@ -786,10 +759,10 @@ func chenchenProtocol() Protocol {
 		states:   func(int) uint64 { return chenchen.New().StateCount() },
 		maxSteps: func(n int) uint64 { return 2000 * uint64(n) * uint64(n) * uint64(n) },
 		validate: validateFixedElection,
-		tables: func(sc Scenario, _ int) *population.Tables[chenchen.State] {
+		tables: func(_ int, opts population.InternOptions) *population.Tables[chenchen.State] {
 			codec := chenchen.Codec()
 			env := chenchen.NewRunner(3, xrand.New(1)).InternEnv()
-			return population.NewTables(chenchen.New().StableSpec(), chenchen.IsLeader, &codec, env, internOpts(sc))
+			return population.NewTables(chenchen.New().StableSpec(), chenchen.IsLeader, &codec, env, opts)
 		},
 		trial: func(sc Scenario, n int, seed uint64, tab *population.Tables[chenchen.State]) trialEngine[chenchen.State] {
 			ru := chenchen.NewRunner(n, xrand.New(seed))

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/population"
 )
 
 // InitClass selects the adversarial initial-configuration family of a
@@ -218,14 +216,6 @@ type Scenario struct {
 	Faults   []Fault        `json:"faults,omitempty"`
 	Budget   Budget         `json:"budget,omitempty"`
 	Sched    *SchedulerSpec `json:"scheduler,omitempty"`
-	// MaxStates caps the interned execution layer's state interner for
-	// this scenario's trials; a run needing more distinct states falls
-	// back to the generic engine (bit-identically — the cap is a memory
-	// knob, not a semantics one). It applies only to protocols that
-	// intern: P_PL runs on the generic engine and ignores it. 0 selects
-	// the engine default (population.DefaultMaxStates); the ceiling is
-	// population.MaxInternStates.
-	MaxStates int `json:"max_states,omitempty"`
 }
 
 // Validate reports whether the scenario is well-formed independent of any
@@ -242,9 +232,6 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Budget.Scale < 0 || math.IsNaN(sc.Budget.Scale) || math.IsInf(sc.Budget.Scale, 0) {
 		return fmt.Errorf("repro: invalid budget scale %v", sc.Budget.Scale)
-	}
-	if sc.MaxStates < 0 || sc.MaxStates > population.MaxInternStates {
-		return fmt.Errorf("repro: max_states %d outside [0, %d]", sc.MaxStates, population.MaxInternStates)
 	}
 	return sc.Sched.Validate()
 }

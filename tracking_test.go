@@ -231,7 +231,7 @@ func TestRunBenchmarkModes(t *testing.T) {
 	// A one-agent ring is an error in every mode, as it is for Trial — not
 	// a panic from the step budget or the ring constructor.
 	for _, name := range []string{"ppl", "yokota"} {
-		for _, mode := range []BenchMode{BenchRaw, BenchTracked, BenchInterned, BenchLanes, BenchCold} {
+		for _, mode := range []BenchMode{BenchRaw, BenchTracked, BenchInterned, BenchCold} {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
@@ -248,10 +248,10 @@ func TestRunBenchmarkModes(t *testing.T) {
 
 // TestRunBenchmarkWithoutTables pins the bench modes on a protocol that
 // attaches no interned tables (P_PL): the interned mode times the generic
-// tracked run and reports a fallback with the tracked and Trial steps, the
-// lanes mode runs its batch on the generic engine, and a cold trial
-// allocates no table set — its row's bytes stay far below the megabytes
-// a pair table costs. A protocol that interns (yokota) stays interned.
+// tracked run and reports a fallback with the tracked and Trial steps, and
+// a cold trial allocates no table set — its row's bytes stay far below the
+// megabytes a pair table costs. A protocol that interns (yokota) stays
+// interned.
 func TestRunBenchmarkWithoutTables(t *testing.T) {
 	p, err := NewProtocol("ppl")
 	if err != nil {
@@ -281,21 +281,6 @@ func TestRunBenchmarkWithoutTables(t *testing.T) {
 		if cold.Allocs == 0 || cold.Bytes > 256<<10 {
 			t.Fatalf("ppl n=%d: cold trial allocated %d bytes in %d objects", n, cold.Bytes, cold.Allocs)
 		}
-	}
-	lanes, err := RunBenchmark("ppl", 16, 3, Scenario{}, BenchLanes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum uint64
-	for i := 0; i < defaultBenchLanes; i++ {
-		res, err := p.Trial(Scenario{}, 16, 3+uint64(i)*benchLaneSeedStride)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += res.Steps
-	}
-	if lanes.Lanes != defaultBenchLanes || lanes.Steps != sum || lanes.Fallback {
-		t.Fatalf("ppl lanes row %+v, solo trials sum to %d steps", lanes, sum)
 	}
 	yok, err := RunBenchmark("yokota", 16, 3, Scenario{}, BenchInterned, 0)
 	if err != nil {
